@@ -20,14 +20,12 @@ from .robust_stats import (
 from .covariance import (
     CorrelationMatrix,
     CovarianceModel,
-    SymmetricEigen,
     assemble_covariance,
     gaussian_rank_corr_matrix,
     pearson_corr_matrix,
     score_matrix,
     spearman_corr_matrix,
     sqrt_factorize,
-    symmetric_eigen,
 )
 from .regression import (
     AdaptiveWeights,
@@ -77,14 +75,12 @@ __all__ = [
     "std_normal_quantile",
     "CorrelationMatrix",
     "CovarianceModel",
-    "SymmetricEigen",
     "assemble_covariance",
     "gaussian_rank_corr_matrix",
     "pearson_corr_matrix",
     "score_matrix",
     "spearman_corr_matrix",
     "sqrt_factorize",
-    "symmetric_eigen",
     "AdaptiveWeights",
     "CvCurve",
     "LassoPath",

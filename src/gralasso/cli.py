@@ -23,7 +23,7 @@ from .covariance import (
     pearson_corr_matrix,
     spearman_corr_matrix,
 )
-from .data import DataMatrix
+from .data import DataMatrix, format_float as _FMT
 from .regression import fit_gr_alasso, marginal_gr_correlations, screen_top_k
 from .simulation import (
     ContaminationSpec,
@@ -40,7 +40,6 @@ from .simulation import (
 )
 
 _ENV_PREFIX = "GRALASSO_"
-_FMT = "{:.17g}".format
 
 _CORR_FUNCS = {
     "gr": gaussian_rank_corr_matrix,
@@ -168,7 +167,7 @@ def _write_matrix_csv(path, matrix, columns):
 
 def cmd_fit(args) -> int:
     response = _resolve(args, "response", "y", str)
-    outdir = _ensure_outdir(_resolve(args, "output_dir", "gralasso_fit", str))
+    outdir = _resolve(args, "output_dir", "gralasso_fit", str)
     estimator = _resolve(args, "estimator", "gr", str)
     weights = _resolve(args, "weights", "auto", str)
     kappa = _resolve(args, "kappa", 0.1, _kappa_value)
@@ -184,7 +183,7 @@ def cmd_fit(args) -> int:
                         lambda_ratio=lambda_ratio, rule=rule, seed=seed,
                         fixed_lambda=args.fixed_lambda)
 
-    coef_path = os.path.join(outdir, "coefficients.csv")
+    coef_path = os.path.join(_ensure_outdir(outdir), "coefficients.csv")
     with open(coef_path, "w", encoding="utf-8") as fh:
         fh.write("variable,coefficient,selected\n")
         for j, name in enumerate(Z.predictor_names):
@@ -263,12 +262,12 @@ def cmd_fit(args) -> int:
 
 def cmd_screen(args) -> int:
     response = _resolve(args, "response", "y", str)
-    outdir = _ensure_outdir(_resolve(args, "output_dir", "gralasso_screen", str))
+    outdir = _resolve(args, "output_dir", "gralasso_screen", str)
     Z = DataMatrix.from_csv(args.input, response)
     k = _resolve(args, "screen_k", min(100, Z.p), int)
     idx = screen_top_k(Z, k)
     corr = marginal_gr_correlations(Z)
-    path = os.path.join(outdir, "screen.csv")
+    path = os.path.join(_ensure_outdir(outdir), "screen.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,variable,gr_correlation\n")
         for rank, j in enumerate(idx, start=1):

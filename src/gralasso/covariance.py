@@ -3,27 +3,26 @@
 The Gaussian-rank correlation matrix is the Pearson matrix of the columnwise
 normal scores, so it is positive semi-definite by construction and immune to
 cellwise outliers up to rank displacement. Scales enter separately through
-``assemble_covariance``, which also exposes the square-root factors used by
-the re-parameterised regression loss.
+``assemble_covariance``, which also exposes the symmetric square-root
+factors of the covariance (exported by ``gralasso fit --export-covariance``
+and checked by the partition identities of acceptance criterion 8(c)).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import as_table
 from .robust_stats import RobustSummary, normal_scores, ranks
 
 __all__ = [
     "CorrelationMatrix",
     "CovarianceModel",
-    "SymmetricEigen",
     "score_matrix",
     "pearson_corr_matrix",
     "gaussian_rank_corr_matrix",
     "spearman_corr_matrix",
     "assemble_covariance",
-    "symmetric_eigen",
     "sqrt_factorize",
 ]
 
@@ -96,30 +95,6 @@ class CovarianceModel:
         return self.sigma[1:, 1:]
 
 
-@dataclass(frozen=True)
-class SymmetricEigen:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _column_names(Z) -> tuple:
-    if isinstance(Z, DataMatrix):
-        return Z.columns
-    Z = np.asarray(Z)
-    return tuple(f"col{j}" for j in range(Z.shape[1]))
-
-
-def _as_values(Z) -> np.ndarray:
-    if isinstance(Z, DataMatrix):
-        return Z.values
-    arr = np.asarray(Z, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D data table")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data contains non-finite values")
-    return arr
-
-
 def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
     """Columnwise pseudo-data transform.
 
@@ -129,19 +104,16 @@ def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
     input, and every kind is (near-)mean-zero so pseudo-data residuals carry
     no constant offset.
     """
-    values = _as_values(Z)
-    names = _column_names(Z)
+    values, names = as_table(Z)
     n = values.shape[0]
     out = np.empty_like(values)
     for j in range(values.shape[1]):
         col = values[:, j]
+        if kind in ("gaussian-rank", "spearman") and np.all(col == col[0]):
+            raise ValueError(f"degenerate column {names[j]!r}: all values tied")
         if kind == "gaussian-rank":
-            if np.all(col == col[0]):
-                raise ValueError(f"degenerate column {names[j]!r}: all values tied")
             out[:, j] = normal_scores(col)
         elif kind == "spearman":
-            if np.all(col == col[0]):
-                raise ValueError(f"degenerate column {names[j]!r}: all values tied")
             out[:, j] = ranks(col) - 0.5 * (n + 1)
         elif kind == "pearson":
             sd = float(np.std(col, ddof=1)) if n > 1 else 0.0
@@ -172,9 +144,16 @@ def _pearson_of_values(values: np.ndarray, names=None) -> np.ndarray:
 
 def pearson_corr_matrix(Z) -> CorrelationMatrix:
     """Product-moment correlation matrix; errors on a zero-variance column."""
-    values = _as_values(Z)
-    names = _column_names(Z)
+    values, names = as_table(Z)
     return CorrelationMatrix(_pearson_of_values(values, names), "pearson", names)
+
+
+def _rank_corr_matrix(Z, kind: str) -> CorrelationMatrix:
+    values, names = as_table(Z)
+    if values.shape[0] < 3:
+        raise ValueError("need at least three observations")
+    scores = score_matrix(Z, kind)
+    return CorrelationMatrix(_pearson_of_values(scores, names), kind, names)
 
 
 def gaussian_rank_corr_matrix(Z) -> CorrelationMatrix:
@@ -183,22 +162,12 @@ def gaussian_rank_corr_matrix(Z) -> CorrelationMatrix:
     Positive semi-definite by construction and invariant under strictly
     monotone transforms of each column.
     """
-    values = _as_values(Z)
-    if values.shape[0] < 3:
-        raise ValueError("need at least three observations")
-    names = _column_names(Z)
-    scores = score_matrix(Z, "gaussian-rank")
-    return CorrelationMatrix(_pearson_of_values(scores, names), "gaussian-rank", names)
+    return _rank_corr_matrix(Z, "gaussian-rank")
 
 
 def spearman_corr_matrix(Z) -> CorrelationMatrix:
     """Pearson correlation of the columnwise mid-ranks."""
-    values = _as_values(Z)
-    if values.shape[0] < 3:
-        raise ValueError("need at least three observations")
-    names = _column_names(Z)
-    scores = score_matrix(Z, "spearman")
-    return CorrelationMatrix(_pearson_of_values(scores, names), "spearman", names)
+    return _rank_corr_matrix(Z, "spearman")
 
 
 def assemble_covariance(R: CorrelationMatrix, summaries) -> CovarianceModel:
@@ -220,81 +189,23 @@ def assemble_covariance(R: CorrelationMatrix, summaries) -> CovarianceModel:
                            columns=R.columns)
 
 
-def symmetric_eigen(A, max_sweeps: int = 100) -> SymmetricEigen:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until every off-diagonal magnitude falls below
-    1e-12 * ||A||_F. Eigenvalues are returned in descending order with the
-    matching orthonormal eigenvector columns.
-    """
-    A = np.array(A, dtype=float, copy=True)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - A.T)) > 1e-10 * scale:
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    V = np.eye(n)
-    # Frobenius norm is invariant under the rotations, so the stopping
-    # threshold is fixed up front.
-    fnorm = float(np.linalg.norm(A, "fro"))
-    thresh = 1e-12 * fnorm
-    if n == 1 or fnorm == 0.0:
-        return _sorted_eigen(np.diag(A).copy(), V)
-
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(np.diag(A))).max()
-        if off < thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < thresh:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                v_p = V[:, p].copy()
-                V[:, p] = c * v_p - s * V[:, q]
-                V[:, q] = s * v_p + c * V[:, q]
-    if not converged and np.abs(A - np.diag(np.diag(A))).max() >= thresh:
-        raise RuntimeError("Jacobi eigendecomposition did not converge")
-    return _sorted_eigen(np.diag(A).copy(), V)
-
-
-def _sorted_eigen(eigenvalues: np.ndarray, V: np.ndarray) -> SymmetricEigen:
-    order = np.argsort(-eigenvalues, kind="stable")
-    return SymmetricEigen(eigenvalues=eigenvalues[order], eigenvectors=V[:, order])
-
-
 def sqrt_factorize(sigma):
     """Symmetric square root of a PSD matrix, split into its first column v
     and the remaining columns W.
 
     Eigenvalues in [-1e-8 * ||sigma||, 0) are clipped to zero (floating-point
-    fuzz); anything more negative raises.
+    fuzz); anything more negative raises. LAPACK ``eigh`` reads only one
+    triangle, so squareness and symmetry are checked here.
     """
     sigma = np.asarray(sigma, dtype=float)
-    eig = symmetric_eigen(sigma)
-    lam = eig.eigenvalues
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError("matrix must be square")
+    scale = max(1.0, float(np.max(np.abs(sigma))))
+    if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
+        raise ValueError("matrix must be symmetric")
+    lam, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))  # ascending order
     bound = 1e-8 * max(1e-300, float(np.max(np.abs(lam))))
-    if lam[-1] < -bound:
+    if lam[0] < -bound:
         raise ValueError("not positive semi-definite")
-    root = (eig.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ eig.eigenvectors.T
+    root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.T
     return root[:, 0].copy(), root[:, 1:].copy()

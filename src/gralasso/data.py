@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DataMatrix"]
+__all__ = ["DataMatrix", "as_table", "format_float"]
 
-# 17 significant digits round-trip any IEEE double exactly.
-_FLOAT_FMT = "{:.17g}"
+
+def format_float(value) -> str:
+    """17 significant digits, which round-trip any IEEE double exactly."""
+    return "{:.17g}".format(value)
 
 
 @dataclass(frozen=True)
@@ -93,32 +95,39 @@ class DataMatrix:
                 header = next(reader)
             except StopIteration:
                 raise ValueError("empty input") from None
+            except csv.Error as exc:
+                raise ValueError(f"unreadable header: {exc}") from None
             header = [h.strip() for h in header]
             if response not in header:
                 raise ValueError(f"response column {response!r} not in header")
             rows = []
-            for i, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and row[0].strip() == ""):
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"row {i} has {len(row)} cells, expected {len(header)}"
-                    )
-                parsed = []
-                for name, cell in zip(header, row):
-                    try:
-                        val = float(cell)
-                    except ValueError:
+            i = 0
+            try:
+                for i, row in enumerate(reader, start=1):
+                    if not row or (len(row) == 1 and row[0].strip() == ""):
+                        continue
+                    if len(row) != len(header):
                         raise ValueError(
-                            f"non-numeric value {cell.strip()!r} at row {i}, "
-                            f"column {name!r}"
-                        ) from None
-                    if not np.isfinite(val):
-                        raise ValueError(
-                            f"non-finite value at row {i}, column {name!r}"
+                            f"row {i} has {len(row)} cells, expected {len(header)}"
                         )
-                    parsed.append(val)
-                rows.append(parsed)
+                    parsed = []
+                    for name, cell in zip(header, row):
+                        try:
+                            val = float(cell)
+                        except ValueError:
+                            raise ValueError(
+                                f"non-numeric value {cell.strip()!r} at row {i}, "
+                                f"column {name!r}"
+                            ) from None
+                        if not np.isfinite(val):
+                            raise ValueError(
+                                f"non-finite value at row {i}, column {name!r}"
+                            )
+                        parsed.append(val)
+                    rows.append(parsed)
+            except csv.Error as exc:
+                # e.g. a cell longer than csv.field_size_limit()
+                raise ValueError(f"unreadable row {i + 1}: {exc}") from None
         if not rows:
             raise ValueError("empty input")
         arr = np.asarray(rows, dtype=float)
@@ -133,4 +142,17 @@ class DataMatrix:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             for row in self.values:
-                writer.writerow([_FLOAT_FMT.format(v) for v in row])
+                writer.writerow([format_float(v) for v in row])
+
+
+def as_table(Z):
+    """(values, column names) of a DataMatrix or of a 2-D array of finite
+    floats, whose columns are named col0, col1, ..."""
+    if isinstance(Z, DataMatrix):
+        return Z.values, Z.columns
+    values = np.asarray(Z, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("expected a 2-D data table")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("data contains non-finite values")
+    return values, tuple(f"col{j}" for j in range(values.shape[1]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CorrelationMatrix, _pearson_of_values, score_matrix
-from .data import DataMatrix
+from .data import DataMatrix, as_table
 from .robust_stats import RobustSummary, normal_scores, robust_summary
 
 __all__ = [
@@ -116,6 +116,10 @@ class SelectionFit:
         return tuple(self.columns[1 + j] for j in self.support)
 
 
+def _weight_vector(w) -> np.ndarray:
+    return w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+
+
 def column_summaries(Z, estimator: str = "gr"):
     """Per-column location/scale pairs, response first.
 
@@ -125,10 +129,7 @@ def column_summaries(Z, estimator: str = "gr"):
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
         raise ValueError(f"unknown estimator {estimator!r}")
-    values = Z.values if isinstance(Z, DataMatrix) else np.asarray(Z, dtype=float)
-    names = Z.columns if isinstance(Z, DataMatrix) else tuple(
-        f"col{j}" for j in range(values.shape[1])
-    )
+    values, names = as_table(Z)
     out = []
     for j in range(values.shape[1]):
         col = values[:, j]
@@ -189,7 +190,7 @@ def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
         raise ValueError("n_lambda must be at least 2")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    wv = w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+    wv = _weight_vector(w)
     c = np.asarray(c, dtype=float)
     finite = np.isfinite(wv)
     if not np.any(finite):
@@ -267,7 +268,7 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(c, dtype=float)
-    wv = w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+    wv = _weight_vector(w)
     if gram.shape != (c.size, c.size) or wv.size != c.size:
         raise ValueError("dimension mismatch between gram, c and weights")
     if lam < 0:
@@ -284,7 +285,7 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
 def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
     """Objective value n b'Gb - 2n b'c + lambda sum w_j |b_j|."""
     b = np.asarray(b, dtype=float)
-    wv = w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+    wv = _weight_vector(w)
     quad = float(n * b @ np.asarray(gram, dtype=float) @ b - 2.0 * n * b @ np.asarray(c, dtype=float))
     act = b != 0.0
     if np.any(~np.isfinite(wv[act])):
@@ -304,7 +305,7 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
         raise ValueError("lambda grid must be strictly descending")
     gram = np.asarray(cov.xx, dtype=float)
     c = np.asarray(cov.xy, dtype=float)
-    wv = w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+    wv = _weight_vector(w)
     p = c.size
     coefs = np.zeros((grid.size, p))
     iters = np.zeros(grid.size, dtype=int)
@@ -322,6 +323,25 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
                      supports=tuple(supports), iterations=iters, converged=conv)
 
 
+def _cv_folds(values, folds, seed):
+    """Yield (gram, c, held-out y, held-out X) per fold of a response-first
+    table.
+
+    Rows are shuffled once by `seed` and split into contiguous blocks; each
+    fold's gram/c come from the Pearson correlation of the other blocks'
+    rows, taken in sorted row order.
+    """
+    perm = np.random.default_rng(seed).permutation(values.shape[0])
+    for block in np.array_split(perm, folds):
+        corr = _pearson_of_values(values[np.setdiff1d(perm, block)])
+        yield corr[1:, 1:], corr[1:, 0], values[block, 0], values[block, 1:]
+
+
+def _held_out_mse(held_y, held_x, b) -> float:
+    resid = held_y - held_x @ b
+    return float(np.mean(resid * resid))
+
+
 def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
                    tol: float = 1e-7, max_iter: int = 10000) -> CvCurve:
     """K-fold cross-validation on the pseudo-data (response in column 0).
@@ -334,7 +354,7 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
     smallest mean error; `idx_1se` the largest lambda whose mean error stays
     within one standard error of it.
     """
-    values = pseudo.values if isinstance(pseudo, DataMatrix) else np.asarray(pseudo, dtype=float)
+    values, _ = as_table(pseudo)
     n_rows, width = values.shape
     p = width - 1
     if folds < 2:
@@ -344,27 +364,19 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
     if n is None:
         n = n_rows
     grid = np.asarray(grid, dtype=float)
-    wv = w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_rows)
-    blocks = np.array_split(perm, folds)
+    wv = _weight_vector(w)
     errors = np.empty((folds, grid.size))
-    for f, block in enumerate(blocks):
-        train = np.setdiff1d(perm, block)
-        if p < n_rows and train.size < p + 2:
+    for f, (gram, cvec, held_y, held_x) in enumerate(
+            _cv_folds(values, folds, seed)):
+        n_train = n_rows - held_y.size
+        if p < n_rows and n_train < p + 2:
             warnings.warn(
-                f"fold {f}: only {train.size} training rows for {p} predictors"
+                f"fold {f}: only {n_train} training rows for {p} predictors"
             )
-        corr = _pearson_of_values(values[train])
-        gram = corr[1:, 1:]
-        cvec = corr[1:, 0]
-        held_y = values[block, 0]
-        held_x = values[block, 1:]
         b = np.zeros(p)
         for i, lam in enumerate(grid):
             b, _, _ = _cd_solve(gram, cvec, wv, float(lam), n, b, tol, max_iter)
-            resid = held_y - held_x @ b
-            errors[f, i] = float(np.mean(resid * resid))
+            errors[f, i] = _held_out_mse(held_y, held_x, b)
     mean = errors.mean(axis=0)
     se = errors.std(axis=0, ddof=1) / np.sqrt(folds)
     idx_min = int(np.argmin(mean))
@@ -397,7 +409,7 @@ def marginal_gr_correlations(Z) -> np.ndarray:
     Predictors whose values are all tied get a correlation of 0 (they carry
     no rank signal); a tied response raises.
     """
-    values = Z.values if isinstance(Z, DataMatrix) else np.asarray(Z, dtype=float)
+    values, _ = as_table(Z)
     y = values[:, 0]
     if np.all(y == y[0]):
         raise ValueError("degenerate response: all values tied")
@@ -419,11 +431,9 @@ def marginal_gr_correlations(Z) -> np.ndarray:
 def screen_top_k(Z, k: int) -> np.ndarray:
     """Indices of the k predictors with the largest absolute Gaussian-rank
     correlation with the response; ties keep original column order."""
-    values = Z.values if isinstance(Z, DataMatrix) else np.asarray(Z, dtype=float)
-    p = values.shape[1] - 1
-    if not 1 <= k <= p:
-        raise ValueError(f"k must be in 1..{p}")
     corr = marginal_gr_correlations(Z)
+    if not 1 <= k <= corr.size:
+        raise ValueError(f"k must be in 1..{corr.size}")
     order = np.argsort(-np.abs(corr), kind="stable")
     return order[:k]
 
@@ -432,23 +442,13 @@ def _ridge_kappa_by_cv(values, folds, seed, kappas=None):
     """Pick the ridge penalty for the initial estimate by pseudo-data CV."""
     if kappas is None:
         kappas = np.logspace(-3.0, 1.0, 9)
-    p = values.shape[1] - 1
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(values.shape[0])
-    blocks = np.array_split(perm, folds)
-    errs = np.zeros((len(blocks), len(kappas)))
-    for f, block in enumerate(blocks):
-        train = np.setdiff1d(perm, block)
-        corr = _pearson_of_values(values[train])
-        gram = corr[1:, 1:]
-        cvec = corr[1:, 0]
-        eye = np.eye(p)
-        held_y = values[block, 0]
-        held_x = values[block, 1:]
+    eye = np.eye(values.shape[1] - 1)
+    errs = np.zeros((folds, len(kappas)))
+    for f, (gram, cvec, held_y, held_x) in enumerate(
+            _cv_folds(values, folds, seed)):
         for i, kap in enumerate(kappas):
             b = np.linalg.solve(gram + kap * eye, cvec)
-            resid = held_y - held_x @ b
-            errs[f, i] = float(np.mean(resid * resid))
+            errs[f, i] = _held_out_mse(held_y, held_x, b)
     return float(kappas[int(np.argmin(errs.mean(axis=0)))])
 
 
@@ -472,9 +472,7 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     `rule="min"` the CV-minimising lambda is used instead of the
     one-standard-error choice.
     """
-    if not isinstance(Z, DataMatrix):
-        Z = DataMatrix(np.asarray(Z, dtype=float),
-                       tuple(f"col{j}" for j in range(np.asarray(Z).shape[1])))
+    Z = DataMatrix(*as_table(Z))
     if Z.n < 10:
         raise ValueError("need at least 10 observations")
     kind = _ESTIMATOR_KINDS.get(estimator)

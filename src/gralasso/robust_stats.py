@@ -162,10 +162,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _acklam(p: np.ndarray) -> np.ndarray:
+    # lower half only (p <= 0.5): std_normal_quantile reflects upper-tail
+    # arguments, so Acklam's upper-tail region is never reached
     z = np.empty_like(p)
-    plow, phigh = 0.02425, 1.0 - 0.02425
-
-    low = p < plow
+    low = p < 0.02425
     if np.any(low):
         q = np.sqrt(-2.0 * np.log(p[low]))
         z[low] = (
@@ -173,7 +173,7 @@ def _acklam(p: np.ndarray) -> np.ndarray:
             + _ACK_C[5]
         ) / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0)
 
-    mid = (p >= plow) & (p <= phigh)
+    mid = ~low
     if np.any(mid):
         q = p[mid] - 0.5
         r = q * q
@@ -184,14 +184,6 @@ def _acklam(p: np.ndarray) -> np.ndarray:
             ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r + _ACK_B[4]) * r
             + 1.0
         )
-
-    high = p > phigh
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        z[high] = -(
-            ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q + _ACK_C[4]) * q
-            + _ACK_C[5]
-        ) / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0)
 
     return z
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, format_float
 from .regression import fit_gr_alasso
 from .robust_stats import qn_scale, median
 
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_FLOAT_FMT = "{:.17g}"
 
 RECORD_FIELDS = ("e", "gamma", "replicate", "method", "tpr", "fpr",
                  "mse_beta", "mspe", "runtime_ms", "status")
@@ -142,9 +141,15 @@ def mix_seed(*parts) -> int:
     return h
 
 
+def _cell_key(e: float, gamma: float) -> tuple:
+    # e rounded to 1e-3 and gamma to 0.1: cells that round alike share
+    # replicate seeds, which run_grid rejects
+    return round(e * 1000), round(gamma * 10)
+
+
 def cell_seed(seed0: int, e: float, gamma: float, replicate: int) -> int:
     """Stable per-replicate seed for grid cell (e, gamma)."""
-    return mix_seed(seed0, round(e * 1000), round(gamma * 10), replicate)
+    return mix_seed(seed0, *_cell_key(e, gamma), replicate)
 
 
 def ar1_correlation(p: int, rho: float) -> np.ndarray:
@@ -253,6 +258,7 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     unless `contaminate_test` is set. Per-replicate failures are recorded
     with a failure status instead of aborting the grid. Records come back
     sorted by (e, gamma, replicate, method) regardless of `threads`.
+    Distinct cells that `cell_seed` would give the same seeds are rejected.
     """
     methods = tuple(methods)
     if "gr-alasso" not in methods:
@@ -263,6 +269,12 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
                          "results are ingested as CSV instead")
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    cells = {}
+    for cell in sorted({(float(e), float(g)) for e in e_list for g in gamma_list}):
+        other = cells.setdefault(_cell_key(*cell), cell)
+        if other != cell:
+            raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
+                             "would share replicate seeds")
     if n_test is None:
         n_test = design.n
     fit_kwargs = dict(fit_kwargs or {})
@@ -316,18 +328,22 @@ def _format_cell(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _FLOAT_FMT.format(float(value))
+    return format_float(float(value))
+
+
+def _write_csv(path, fields, rows, metadata):
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def write_records_csv(path, records, metadata=None):
     """Raw benchmark records with '# key=value' metadata comment lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        for rec in records:
-            fh.write(",".join(_format_cell(getattr(rec, f))
-                              for f in RECORD_FIELDS) + "\n")
+    _write_csv(path, RECORD_FIELDS, ([getattr(rec, f) for f in RECORD_FIELDS]
+                                     for rec in records), metadata)
 
 
 def read_records_csv(path):
@@ -363,13 +379,8 @@ def read_records_csv(path):
 
 def write_aggregate_csv(path, rows, metadata=None):
     """Aggregate CSV; contains no timings, so reruns are byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(AGGREGATE_FIELDS) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[f]) for f in AGGREGATE_FIELDS)
-                     + "\n")
+    _write_csv(path, AGGREGATE_FIELDS,
+               ([row[f] for f in AGGREGATE_FIELDS] for row in rows), metadata)
 
 
 def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,

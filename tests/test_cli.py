@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gralasso
 from gralasso.cli import main
 from gralasso.data import DataMatrix
 
@@ -85,9 +87,24 @@ class TestFit:
         err = capsys.readouterr().err
         assert "row 2" in err and "x1" in err
 
-    def test_missing_file_is_usage_error(self, tmp_path):
+    def test_missing_file_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["fit", "--input", str(tmp_path / "nothing.csv"),
                      "--response", "y"]) == 2
+        # a failed run leaves no (default) output directory behind
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "screen"])
+    def test_oversized_cell_is_usage_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("y,x1\n1,2\n3," + "4" * 200_000 + "\n")
+        out = tmp_path / "o"
+        code = main([command, "--input", str(bad), "--response", "y",
+                     "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 2" in err and "field larger than field limit" in err
+        assert not out.exists()
 
     def test_env_override_and_flag_priority(self, tmp_path, monkeypatch):
         path, _, _ = _fixture_csv(tmp_path, seed=8)
@@ -241,11 +258,15 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=12)
         out = tmp_path / "out"
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(gralasso.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "gralasso.cli", "fit", "--input",
              str(path), "--response", "y", "--output-dir", str(out),
              "--seed", "0"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (out / "fit.json").exists()
 

@@ -9,7 +9,6 @@ from gralasso.covariance import (
     score_matrix,
     spearman_corr_matrix,
     sqrt_factorize,
-    symmetric_eigen,
 )
 from gralasso.data import DataMatrix
 from gralasso.robust_stats import RobustSummary
@@ -184,47 +183,6 @@ class TestAssemble:
         assert np.max(np.abs(cov.sqrt_w.T @ cov.sqrt_w - cov.xx)) <= 1e-8 * norm
 
 
-class TestSymmetricEigen:
-    def test_diagonal(self):
-        eig = symmetric_eigen(np.diag([3.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [3.0, 1.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(2))
-
-    def test_two_by_two_hand_case(self):
-        eig = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reconstruction_and_orthogonality(self, seed):
-        rng = np.random.default_rng(700 + seed)
-        A = rng.standard_normal((10, 10))
-        A = 0.5 * (A + A.T)
-        eig = symmetric_eigen(A)
-        recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-        scale = np.max(np.abs(A))
-        assert np.max(np.abs(recon - A)) <= 1e-10 * max(1.0, scale)
-        ortho = eig.eigenvectors.T @ eig.eigenvectors
-        assert np.max(np.abs(ortho - np.eye(10))) <= 1e-10
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((8, 8))
-        eig = symmetric_eigen(A + A.T)
-        assert np.all(np.diff(eig.eigenvalues) <= 0)
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_matches_lapack_eigenvalues(self):
-        rng = np.random.default_rng(10)
-        A = rng.standard_normal((12, 12))
-        A = A @ A.T
-        eig = symmetric_eigen(A)
-        expected = np.sort(np.linalg.eigvalsh(A))[::-1]
-        assert np.allclose(eig.eigenvalues, expected, rtol=1e-10, atol=1e-10)
-
-
 class TestSqrtFactorize:
     def test_identity(self):
         v, w = sqrt_factorize(np.eye(3))
@@ -264,6 +222,23 @@ class TestSqrtFactorize:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not positive semi-definite"):
             sqrt_factorize(np.diag([1.0, -0.5]))
+
+    def test_two_by_two_hand_case(self):
+        # eigenpairs (3, (1, 1)/sqrt2) and (1, (1, -1)/sqrt2)
+        v, w = sqrt_factorize(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        a, b = (np.sqrt(3.0) + 1.0) / 2.0, (np.sqrt(3.0) - 1.0) / 2.0
+        assert np.allclose(v, [a, b], atol=1e-12)
+        assert np.allclose(w.ravel(), [b, a], atol=1e-12)
+
+    def test_rejects_non_symmetric(self):
+        # eigh would silently read one triangle of this matrix
+        with pytest.raises(ValueError, match="symmetric"):
+            sqrt_factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            sqrt_factorize(np.ones(shape))
 
 
 class TestScoreMatrix:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,22 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="unknown in-process methods"):
             run_grid(SimDesign(), [0.0], [2.0], replicates=1,
                      methods=("gr-alasso", "mm-alasso"))
+
+    @pytest.mark.parametrize("e_list, gamma_list, clash", [
+        ([0.012, 0.0125], [2.0], "(0.012, 2.0) and (0.0125, 2.0)"),
+        ([0.0], [2.0, 2.04], "(0.0, 2.0) and (0.0, 2.04)"),
+    ])
+    def test_rejects_cells_sharing_seeds(self, e_list, gamma_list, clash):
+        assert (cell_seed(0, e_list[0], gamma_list[0], 0)
+                == cell_seed(0, e_list[-1], gamma_list[-1], 0))
+        with pytest.raises(ValueError, match=re.escape(clash)):
+            run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=1)
+
+    def test_repeated_cell_values_are_not_a_clash(self):
+        recs = run_grid(SimDesign(n=60, p=5), [0.0, 0.0], [2.0], replicates=1,
+                        seed0=1)
+        assert len(recs) == 2
+        assert recs[0].tpr == recs[1].tpr
 
     def test_bookkeeping_one_cell(self):
         recs = run_grid(SimDesign(n=60, p=5), [0.0], [2.0], replicates=3,
