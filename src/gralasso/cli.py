@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .covariance import (
-    assemble_covariance,
-    gaussian_rank_corr_matrix,
-    pearson_corr_matrix,
-    spearman_corr_matrix,
-)
+from .covariance import assemble_covariance
 from .data import DataMatrix, format_float as _FMT
 from .regression import fit_gr_alasso, marginal_gr_correlations, screen_top_k
 from .simulation import (
@@ -40,12 +35,6 @@ from .simulation import (
 )
 
 _ENV_PREFIX = "GRALASSO_"
-
-_CORR_FUNCS = {
-    "gr": gaussian_rank_corr_matrix,
-    "spearman": spearman_corr_matrix,
-    "pearson": pearson_corr_matrix,
-}
 
 
 def _env_default(name, default, cast):
@@ -245,15 +234,13 @@ def cmd_fit(args) -> int:
         for name, summ in zip(Z.columns, fit.summaries):
             fh.write(f"  {name}: {_FMT(summ.location)}, {_FMT(summ.scale)}\n")
 
-    if args.export_correlation or args.export_covariance:
-        R = _CORR_FUNCS[estimator](Z)
-        if args.export_correlation:
-            _write_matrix_csv(os.path.join(outdir, "correlation.csv"),
-                              R.matrix, Z.columns)
-        if args.export_covariance:
-            cov = assemble_covariance(R, fit.summaries)
-            _write_matrix_csv(os.path.join(outdir, "covariance.csv"),
-                              cov.sigma, Z.columns)
+    if args.export_correlation:
+        _write_matrix_csv(os.path.join(outdir, "correlation.csv"),
+                          fit.correlation.matrix, Z.columns)
+    if args.export_covariance:
+        cov = assemble_covariance(fit.correlation, fit.summaries)
+        _write_matrix_csv(os.path.join(outdir, "covariance.csv"),
+                          cov.sigma, Z.columns)
 
     print(f"fit written to {outdir} "
           f"(selected {len(fit.support)} of {Z.p} predictors)")
@@ -266,12 +253,14 @@ def cmd_screen(args) -> int:
     Z = DataMatrix.from_csv(args.input, response)
     k = _resolve(args, "screen_k", min(100, Z.p), int)
     idx = screen_top_k(Z, k)
-    corr = marginal_gr_correlations(Z)
+    # each column's score is independent of the others, so scoring only the
+    # response and the chosen columns gives the same numbers
+    corr = marginal_gr_correlations(Z.values[:, np.r_[0, idx + 1]])
     path = os.path.join(_ensure_outdir(outdir), "screen.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,variable,gr_correlation\n")
-        for rank, j in enumerate(idx, start=1):
-            fh.write(f"{rank},{Z.predictor_names[j]},{_FMT(corr[j])}\n")
+        for rank, (j, r) in enumerate(zip(idx, corr), start=1):
+            fh.write(f"{rank},{Z.predictor_names[j]},{_FMT(r)}\n")
     print(f"screen written to {path} (top {k} of {Z.p} predictors)")
     return 0
 

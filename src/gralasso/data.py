@@ -101,36 +101,28 @@ class DataMatrix:
             if response not in header:
                 raise ValueError(f"response column {response!r} not in header")
             rows = []
+            lines = []  # file row number of each parsed row
             i = 0
             try:
                 for i, row in enumerate(reader, start=1):
                     if not row or (len(row) == 1 and row[0].strip() == ""):
                         continue
-                    if len(row) != len(header):
-                        raise ValueError(
-                            f"row {i} has {len(row)} cells, expected {len(header)}"
-                        )
-                    parsed = []
-                    for name, cell in zip(header, row):
-                        try:
-                            val = float(cell)
-                        except ValueError:
-                            raise ValueError(
-                                f"non-numeric value {cell.strip()!r} at row {i}, "
-                                f"column {name!r}"
-                            ) from None
-                        if not np.isfinite(val):
-                            raise ValueError(
-                                f"non-finite value at row {i}, column {name!r}"
-                            )
-                        parsed.append(val)
-                    rows.append(parsed)
+                    try:
+                        if len(row) != len(header) or "_" in "".join(row):
+                            raise ValueError
+                        rows.append(list(map(float, row)))
+                    except ValueError:
+                        _check_nonfinite(rows, lines, header)
+                        _reject_row(i, row, header)
+                    lines.append(i)
             except csv.Error as exc:
                 # e.g. a cell longer than csv.field_size_limit()
+                _check_nonfinite(rows, lines, header)
                 raise ValueError(f"unreadable row {i + 1}: {exc}") from None
         if not rows:
             raise ValueError("empty input")
         arr = np.asarray(rows, dtype=float)
+        _check_nonfinite(arr, lines, header)
         ridx = header.index(response)
         order = [ridx] + [j for j in range(len(header)) if j != ridx]
         return cls(arr[:, order], tuple(header[j] for j in order))
@@ -143,6 +135,38 @@ class DataMatrix:
             writer.writerow(self.columns)
             for row in self.values:
                 writer.writerow([format_float(v) for v in row])
+
+
+def _reject_row(i, row, header):
+    """Raise the diagnostic for the first bad cell of a row that failed the
+    bulk parse: wrong cell count, or a cell that is not a plain decimal
+    number (Python's float() alone would accept digit-group underscores)."""
+    if len(row) != len(header):
+        raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
+    for name, cell in zip(header, row):
+        try:
+            if "_" in cell:
+                raise ValueError
+            val = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"non-numeric value {cell.strip()!r} at row {i}, column {name!r}"
+            ) from None
+        if not np.isfinite(val):
+            raise ValueError(f"non-finite value at row {i}, column {name!r}")
+
+
+def _check_nonfinite(rows, lines, header):
+    """Raise for the first NaN or infinite cell of the parsed rows (a list
+    of rows or their array)."""
+    if len(rows) == 0:
+        return
+    bad = np.argwhere(~np.isfinite(np.asarray(rows, dtype=float)))
+    if bad.size:
+        r, j = bad[0]
+        raise ValueError(
+            f"non-finite value at row {lines[r]}, column {header[j]!r}"
+        )
 
 
 def as_table(Z):

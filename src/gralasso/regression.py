@@ -9,6 +9,14 @@ with G and c the predictor block and predictor-response column of a
 (unit diagonal), and coefficients are mapped back to original units at the
 end. Cellwise robustness comes entirely from the plugged-in correlation
 estimator and the per-column location/scale summaries.
+
+Each lambda is solved by an active-set method warm-started from the
+previous grid point: one linear solve on the working set per round, a
+feature-sign line search when a sign flips, and a vectorised KKT check that
+certifies the solution or admits violators. A singular working-set block
+(p > n in ridge mode, tied predictors) is stepped along its null direction.
+Cyclic soft-threshold sweeps over the working set remain only as the
+fallback when the certificate stalls or the round budget runs out.
 """
 
 import warnings
@@ -66,7 +74,12 @@ class AdaptiveWeights:
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Solutions over a descending lambda grid (standardised scale)."""
+    """Solutions over a descending lambda grid (standardised scale).
+
+    `iterations[i]` counts the solver rounds spent at lambda i: passes of the
+    active-set loop (one linear solve and a sign or KKT check each) plus any
+    fallback coordinate sweeps.
+    """
 
     lambdas: np.ndarray
     coefficients: np.ndarray
@@ -97,7 +110,7 @@ class CvCurve:
 @dataclass(frozen=True)
 class SelectionFit:
     """Complete fit: coefficients in original units plus the path and CV
-    diagnostics that produced them."""
+    diagnostics and the correlation matrix that produced them."""
 
     beta: np.ndarray
     intercept: float
@@ -110,6 +123,7 @@ class SelectionFit:
     estimator: str
     weights: AdaptiveWeights
     converged: bool
+    correlation: CorrelationMatrix
 
     @property
     def selected_names(self) -> tuple:
@@ -202,29 +216,138 @@ def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
     return np.geomspace(lam_max, lam_max * ratio, n_lambda)
 
 
-def _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter):
-    """Cyclic coordinate descent on the penalised quadratic.
+# Rounds of the active-set loop allowed per solve before the soft-threshold
+# sweep takes over.
+_ROUND_BUDGET = 50
+# Relative curvature (to the largest diagonal entry of the gram) along a
+# solve's step below which the working-set block counts as singular.
+_FLAT = 1e-12
 
-    Convergence needs both a small maximum coordinate change and a passing
-    KKT certificate; returns (solution, sweeps, converged).
+
+def _kkt(gram, c, lamw, finite, slack, n, b):
+    """KKT check at b within `slack`; +inf weights are pinned at zero and
+    skipped. Returns (certified, violating zero coordinates, 2n(Gb - c))."""
+    grad = 2.0 * n * (gram @ b - c)
+    nz = finite & (b != 0.0)
+    viol = finite & (b == 0.0) & (np.abs(grad) > lamw + slack)
+    ok = not viol.any() and bool(
+        (np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack).all())
+    return ok, viol, grad
+
+
+def _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter):
+    """Active-set solve of the penalised quadratic from a warm start.
+
+    The working set A is the warm start's support plus every admissible
+    coordinate whose gradient exceeds its penalty; an entrant takes the sign
+    opposite to its gradient. A round solves G_AA x = c_A - lambda w_A s_A /
+    (2n) with the signs s fixed. If every sign of x agrees with s, x is
+    accepted and one vectorised KKT check certifies it or adds the violating
+    coordinates to A. Otherwise the iterate moves toward x up to the first
+    sign crossing and the crossing coordinate leaves A (feature-sign line
+    search). A singular G_AA gives no x; the iterate then moves along a null
+    direction of G_AA, downhill for the signed objective, to its first sign
+    crossing. If the certificate fails on the working set itself, no crossing
+    bounds a null direction or `_ROUND_BUDGET` rounds pass, the
+    soft-threshold sweep over A (`_sweep`) takes over. Returns (solution,
+    rounds, converged); a round is one pass of the loop here or one sweep
+    there.
     """
     p = c.size
     b = np.zeros(p) if warm is None else np.array(warm, dtype=float, copy=True)
     finite = np.isfinite(wv)
     b[~finite] = 0.0
-    order = np.flatnonzero(finite)
-    diag = np.diagonal(gram)
-    if np.any(diag[order] <= 0.0):
+    diag = np.diagonal(gram)[finite]
+    if (diag <= 0.0).any():
         raise ValueError("degenerate predictor variance")
-    thr = np.zeros(p)
-    thr[order] = lam * wv[order] / (2.0 * n)
-    s = gram @ b
+    # curvature per unit step below which G_AA counts as singular
+    flat = _FLAT * diag.max() if diag.size else 0.0
+    lamw = np.full(p, np.inf)
+    lamw[finite] = lam * wv[finite]
+    thr = lamw / (2.0 * n)
     slack = 10.0 * tol * n
-    lamw = lam * wv
-    iters = 0
-    converged = False
-    for sweep in range(1, max_iter + 1):
-        iters = sweep
+    # grad stays current while A holds entrants: only a step of length zero
+    # leaves them in A, and it does not move b
+    grad = 2.0 * n * (gram @ b - c)
+    active = finite & ((b != 0.0) | (np.abs(grad) > lamw))
+    rounds = 0
+    while rounds < _ROUND_BUDGET:
+        rounds += 1
+        idx = np.flatnonzero(active)
+        if idx.size:
+            b_a = b[idx]
+            sign = np.sign(b_a)
+            entrant = sign == 0.0
+            sign[entrant] = -np.sign(grad[idx[entrant]])
+            g_aa = gram[idx[:, None], idx]
+            t_max = 1.0
+            try:
+                x = np.linalg.solve(g_aa, c[idx] - thr[idx] * sign)
+                move = x - b_a
+                norm2 = move @ move
+                if not norm2 <= 0.0 and not move @ (g_aa @ move) > flat * norm2:
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                # G_AA is (numerically) singular, so the signed objective has
+                # no minimiser on A: move downhill along a null direction
+                x, t_max = None, np.inf
+                move = np.linalg.eigh(g_aa)[1][:, 0]
+                if (2.0 * n * (gram[idx] @ b - c[idx])
+                        + lamw[idx] * sign) @ move > 0.0:
+                    move = -move
+            if x is None or (lam > 0.0 and not (x * sign > 0.0).all()):
+                sd = sign * move
+                dec = sd < 0.0
+                t_cross = np.full(idx.size, np.inf)
+                t_cross[dec] = sign[dec] * b_a[dec] / -sd[dec]
+                t = min(t_max, t_cross.min())
+                if t == np.inf:
+                    break
+                if t > 0.0:
+                    step = b_a + t * move
+                    step[t_cross <= t] = 0.0
+                    b[idx] = step
+                    out = step * sign <= 0.0
+                else:
+                    # only entrants cross at t = 0; if all of them turned,
+                    # keep the largest violator, which alone cannot turn at
+                    # an exact solution on the support
+                    out = t_cross == 0.0
+                    if out.sum() == entrant.sum() > 1:
+                        ent = idx[entrant]
+                        out[np.flatnonzero(entrant)[
+                            np.argmax(np.abs(grad[ent]) - lamw[ent])]] = False
+                gone = idx[out]
+                b[gone] = 0.0
+                active[gone] = False
+                continue
+            before = b.copy()
+            b[idx] = x
+        ok, viol, grad = _kkt(gram, c, lamw, finite, slack, n, b)
+        if ok:
+            return b, rounds, True
+        if not viol.any():
+            # the certificate fails on the working set itself: x is not
+            # accurate enough (near-singular G_AA) or the slack is zero, so
+            # the sweep starts from the iterate before this solve
+            b = before
+            break
+        active |= viol
+    return _sweep(gram, c, thr, lamw, finite, slack, n, b, active, tol,
+                  max_iter, rounds)
+
+
+def _sweep(gram, c, thr, lamw, finite, slack, n, b, active, tol, max_iter,
+           rounds):
+    """Cyclic soft-threshold coordinate descent over the working set, the
+    fallback of `_cd_solve`. After a sweep whose largest coordinate change is
+    below `tol`, the full KKT check certifies b or adds its violators to the
+    set; at most `max_iter` sweeps."""
+    diag = np.diagonal(gram)
+    order = np.flatnonzero(active)
+    s = gram @ b
+    for _ in range(max_iter):
+        rounds += 1
         dmax = 0.0
         for j in order:
             gj = diag[j]
@@ -245,26 +368,26 @@ def _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter):
                     dmax = ad
         if dmax < tol:
             s = gram @ b
-            grad = 2.0 * n * (s - c)
-            nz = finite & (b != 0.0)
-            zz = finite & (b == 0.0)
-            ok = bool(
-                np.all(np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack)
-                and np.all(np.abs(grad[zz]) <= lamw[zz] + slack)
-            )
+            ok, viol, _ = _kkt(gram, c, lamw, finite, slack, n, b)
             if ok:
-                converged = True
-                break
-    return b, iters, converged
+                return b, rounds, True
+            active |= viol
+            order = np.flatnonzero(active)
+    return b, rounds, False
 
 
 def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
                       tol: float = 1e-7, max_iter: int = 10000) -> np.ndarray:
-    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j| by coordinate descent.
+    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j|.
 
-    Coordinate update: b_j <- softthreshold(c_j - sum_{k != j} G_jk b_k,
-    lambda w_j / (2n)) / G_jj, cycling until the largest coordinate change
-    drops below `tol` and the KKT residuals certify the solution.
+    Active-set solver: each round solves the stationarity equations
+    G_AA b_A = c_A - lambda w_A sign(b_A) / (2n) on a working set A with one
+    linear solve, steps back to the first sign crossing when a sign flips
+    (along a null direction when G_AA is singular), and admits the
+    coordinates that violate the KKT conditions until they certify the
+    solution within 10 * tol * n. A stalled certificate or an exhausted round
+    budget falls back to cyclic soft-threshold updates over A, at most
+    `max_iter` sweeps, under the same certificate.
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -273,10 +396,10 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
         raise ValueError("dimension mismatch between gram, c and weights")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    b, _, converged = _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter)
+    b, rounds, converged = _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter)
     if not converged:
         warnings.warn(
-            f"coordinate descent stopped after {max_iter} sweeps without a "
+            f"the lasso solver stopped after {rounds} rounds without a "
             "KKT certificate; returning the last iterate"
         )
     return b
@@ -293,6 +416,20 @@ def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
     return quad + float(lam * np.sum(wv[act] * np.abs(b[act])))
 
 
+def _solve_path(gram, c, wv, grid, n, tol, max_iter):
+    """Warm-started solves down a descending grid: (coefficients, rounds,
+    converged), one row or entry per lambda."""
+    coefs = np.zeros((grid.size, c.size))
+    rounds = np.zeros(grid.size, dtype=int)
+    conv = np.zeros(grid.size, dtype=bool)
+    b = None
+    for i, lam in enumerate(grid):
+        b, rounds[i], conv[i] = _cd_solve(gram, c, wv, float(lam), n, b, tol,
+                                          max_iter)
+        coefs[i] = b
+    return coefs, rounds, conv
+
+
 def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
              max_iter: int = 10000) -> LassoPath:
     """Warm-started solution path over a descending lambda grid.
@@ -303,24 +440,16 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
     grid = np.asarray(grid, dtype=float)
     if grid.size > 1 and np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
-    gram = np.asarray(cov.xx, dtype=float)
-    c = np.asarray(cov.xy, dtype=float)
-    wv = _weight_vector(w)
-    p = c.size
-    coefs = np.zeros((grid.size, p))
-    iters = np.zeros(grid.size, dtype=int)
-    conv = np.zeros(grid.size, dtype=bool)
-    supports = []
-    b = np.zeros(p)
-    for i, lam in enumerate(grid):
-        b, iters[i], conv[i] = _cd_solve(gram, c, wv, float(lam), n, b, tol, max_iter)
-        coefs[i] = b
-        supports.append(tuple(int(j) for j in np.flatnonzero(b != 0.0)))
+    coefs, rounds, conv = _solve_path(
+        np.asarray(cov.xx, dtype=float), np.asarray(cov.xy, dtype=float),
+        _weight_vector(w), grid, n, tol, max_iter)
     if not np.all(conv):
-        warnings.warn("coordinate descent did not certify convergence at "
+        warnings.warn("the lasso solver did not certify convergence at "
                       f"{int(np.sum(~conv))} of {grid.size} grid points")
+    supports = tuple(tuple(int(j) for j in np.flatnonzero(b != 0.0))
+                     for b in coefs)
     return LassoPath(lambdas=grid.copy(), coefficients=coefs,
-                     supports=tuple(supports), iterations=iters, converged=conv)
+                     supports=supports, iterations=rounds, converged=conv)
 
 
 def _cv_folds(values, folds, seed):
@@ -335,11 +464,6 @@ def _cv_folds(values, folds, seed):
     for block in np.array_split(perm, folds):
         corr = _pearson_of_values(values[np.setdiff1d(perm, block)])
         yield corr[1:, 1:], corr[1:, 0], values[block, 0], values[block, 1:]
-
-
-def _held_out_mse(held_y, held_x, b) -> float:
-    resid = held_y - held_x @ b
-    return float(np.mean(resid * resid))
 
 
 def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
@@ -366,6 +490,7 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
     grid = np.asarray(grid, dtype=float)
     wv = _weight_vector(w)
     errors = np.empty((folds, grid.size))
+    uncertified = 0
     for f, (gram, cvec, held_y, held_x) in enumerate(
             _cv_folds(values, folds, seed)):
         n_train = n_rows - held_y.size
@@ -373,10 +498,13 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
             warnings.warn(
                 f"fold {f}: only {n_train} training rows for {p} predictors"
             )
-        b = np.zeros(p)
-        for i, lam in enumerate(grid):
-            b, _, _ = _cd_solve(gram, cvec, wv, float(lam), n, b, tol, max_iter)
-            errors[f, i] = _held_out_mse(held_y, held_x, b)
+        coefs, _, conv = _solve_path(gram, cvec, wv, grid, n, tol, max_iter)
+        uncertified += int(np.sum(~conv))
+        errors[f] = np.mean((held_y[:, None] - held_x @ coefs.T) ** 2, axis=0)
+    if uncertified:
+        warnings.warn("cross-validation: the lasso solver did not certify "
+                      f"convergence at {uncertified} of {folds * grid.size} "
+                      "fold grid points")
     mean = errors.mean(axis=0)
     se = errors.std(axis=0, ddof=1) / np.sqrt(folds)
     idx_min = int(np.argmin(mean))
@@ -447,8 +575,8 @@ def _ridge_kappa_by_cv(values, folds, seed, kappas=None):
     for f, (gram, cvec, held_y, held_x) in enumerate(
             _cv_folds(values, folds, seed)):
         for i, kap in enumerate(kappas):
-            b = np.linalg.solve(gram + kap * eye, cvec)
-            errs[f, i] = _held_out_mse(held_y, held_x, b)
+            resid = held_y - held_x @ np.linalg.solve(gram + kap * eye, cvec)
+            errs[f, i] = np.mean(resid * resid)
     return float(kappas[int(np.argmin(errs.mean(axis=0)))])
 
 
@@ -529,4 +657,5 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     return SelectionFit(beta=beta, intercept=intercept, support=support,
                         lambda_=chosen, path=path, cv=cv,
                         summaries=tuple(summaries), columns=Z.columns,
-                        estimator=kind, weights=wobj, converged=converged)
+                        estimator=kind, weights=wobj, converged=converged,
+                        correlation=R)

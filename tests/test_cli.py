@@ -8,7 +8,9 @@ import pytest
 
 import gralasso
 from gralasso.cli import main
+from gralasso.covariance import gaussian_rank_corr_matrix, spearman_corr_matrix
 from gralasso.data import DataMatrix
+from gralasso.regression import marginal_gr_correlations
 
 from oracles import ols_fit
 
@@ -106,6 +108,33 @@ class TestFit:
         assert "row 2" in err and "field larger than field limit" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "screen"])
+    def test_digit_group_underscore_is_usage_error(self, tmp_path, capsys,
+                                                   command):
+        # float() alone would read "1_0" as 10.0
+        bad = tmp_path / "grouped.csv"
+        bad.write_text("y,x1\n1,2\n3,1_0\n")
+        out = tmp_path / "o"
+        code = main([command, "--input", str(bad), "--response", "y",
+                     "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-numeric value '1_0' at row 2, column 'x1'" in err
+        assert not out.exists()
+
+    def test_exports_are_the_fit_correlation(self, tmp_path):
+        path, _, _ = _fixture_csv(tmp_path, seed=6)
+        for estimator, corr_func in (("gr", gaussian_rank_corr_matrix),
+                                     ("spearman", spearman_corr_matrix)):
+            out = tmp_path / estimator
+            assert main(["fit", "--input", str(path), "--response", "y",
+                         "--output-dir", str(out), "--estimator", estimator,
+                         "--export-correlation"]) == 0
+            rows = (out / "correlation.csv").read_text().splitlines()[1:]
+            corr = np.array([[float(v) for v in r.split(",")] for r in rows])
+            expected = corr_func(DataMatrix.from_csv(path, "y")).matrix
+            assert np.array_equal(corr, expected)
+
     def test_env_override_and_flag_priority(self, tmp_path, monkeypatch):
         path, _, _ = _fixture_csv(tmp_path, seed=8)
         out_env = tmp_path / "env"
@@ -134,6 +163,20 @@ class TestScreen:
         corrs = [abs(float(line.split(",")[2])) for line in lines[1:]]
         assert corrs == sorted(corrs, reverse=True)
         assert lines[1].split(",")[1] == "x1"
+
+    def test_correlations_match_the_full_marginal_scores(self, tmp_path):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((50, 8))
+        y = X[:, 2] - 0.5 * X[:, 5] + 0.5 * rng.standard_normal(50)
+        path = tmp_path / "data.csv"
+        DataMatrix.from_arrays(y, X).to_csv(path)
+        out = tmp_path / "out"
+        assert main(["screen", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out), "--screen-k", "3"]) == 0
+        full = marginal_gr_correlations(DataMatrix.from_csv(path, "y"))
+        for line in (out / "screen.csv").read_text().splitlines()[1:]:
+            _, name, corr = line.split(",")
+            assert float(corr) == full[int(name[1:]) - 1]
 
     def test_duplicated_response_ranks_first(self, tmp_path):
         rng = np.random.default_rng(10)

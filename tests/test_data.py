@@ -62,6 +62,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="'oops' at row 2, column 'a'"):
             DataMatrix.from_csv(path, "y")
 
+    def test_digit_group_underscore_rejected(self, tmp_path):
+        path = _toy(tmp_path, "y,a\n1,2\n3,1_000\n")
+        with pytest.raises(ValueError, match="'1_000' at row 2, column 'a'"):
+            DataMatrix.from_csv(path, "y")
+
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
+        path = _toy(tmp_path, "y,a\n1,inf\n\n3,oops\n")
+        with pytest.raises(ValueError, match="non-finite value at row 1"):
+            DataMatrix.from_csv(path, "y")
+        path = _toy(tmp_path, "y,a\n1,2\n\n3,4\nnan,oops\n")
+        with pytest.raises(ValueError, match="non-finite value at row 4, column 'y'"):
+            DataMatrix.from_csv(path, "y")
+
     def test_nan_cell_diagnostic(self, tmp_path):
         path = _toy(tmp_path, "y,a\n1,nan\n")
         with pytest.raises(ValueError, match="non-finite value at row 1"):

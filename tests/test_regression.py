@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gralasso.covariance import (
     CorrelationMatrix,
@@ -28,7 +29,13 @@ from gralasso.regression import (
 )
 from gralasso.robust_stats import RobustSummary
 
-from oracles import grid_minimize, ols_fit, penalized_objective_naive, soft_threshold
+from oracles import (
+    cd_reference,
+    grid_minimize,
+    ols_fit,
+    penalized_objective_naive,
+    soft_threshold,
+)
 
 
 def _corr_from(matrix):
@@ -256,6 +263,81 @@ class TestCoordinateDescent:
             weighted_lasso_cd(np.eye(3), np.ones(2), np.ones(2), 0.1, 10)
 
 
+
+@st.composite
+def _lasso_instances(draw):
+    """Unit-diagonal PSD gram and c from `rows` draws of p + 1 variables
+    (rank-deficient when rows <= p, optionally with a duplicated
+    predictor), weights with some +inf, lambda in [0, lambda_max] and a warm
+    start that may carry wrong signs."""
+    p = draw(st.integers(1, 30))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((rows, p + 1))
+    if p > 1 and draw(st.booleans()):
+        data[:, 2] = data[:, 1]
+    m = data.T @ data
+    d = np.sqrt(np.diag(m))
+    m = m / np.outer(d, d)
+    np.fill_diagonal(m, 1.0)
+    gram, c = m[1:, 1:], m[1:, 0]
+    w = rng.uniform(0.2, 5.0, p)
+    n_inf = draw(st.integers(0, p - 1))
+    w[rng.choice(p, n_inf, replace=False)] = np.inf
+    n = draw(st.sampled_from([10, 50, 200]))
+    finite = np.isfinite(w)
+    lam_max = float(np.max(2.0 * n * np.abs(c[finite]) / w[finite]))
+    lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * lam_max
+    warm = draw(st.sampled_from(["none", "random", "flipped"]))
+    if warm == "none":
+        b0 = None
+    elif warm == "random":
+        b0 = rng.standard_normal(p)
+    else:
+        b0 = -cd_reference(gram, c, w, lam, n, None, 1e-7, 10000)[0]
+    return gram, c, w, lam, n, b0
+
+
+class TestActiveSetSolver:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lasso_instances())
+    def test_certified_and_no_worse_than_coordinate_descent(self, inst):
+        gram, c, w, lam, n, b0 = inst
+        tol = 1e-7
+        b, _, converged = _cd_solve(gram, c, w, lam, n, b0, tol, 10000)
+        ref, _, _ = cd_reference(gram, c, w, lam, n, b0, tol, 10000)
+        assert converged
+        assert _kkt_holds(gram, c, w, lam, n, b, tol)
+        obj = penalized_objective_naive(gram, c, w, lam, n, b)
+        ref_obj = penalized_objective_naive(gram, c, w, lam, n, ref)
+        assert obj <= ref_obj + 1e-9 * (1 + abs(ref_obj))
+
+    @pytest.mark.parametrize("gram, c, w, lam, warm", [
+        # identical predictors: every working set holding both is singular
+        ([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]],
+         [0.6, 0.6, 0.2], [1.0, 1.0, 1.0], 1.0, None),
+        # sign-flipped copies, warm-started on both at a lambda so small
+        # that coordinate descent (`cd_reference`) is still uncertified
+        # after 10,000 sweeps
+        ([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0], [0.25, 4.0], 1e-5,
+         [0.36, 1.3]),
+    ])
+    def test_singular_working_set_is_certified(self, gram, c, w, lam, warm):
+        gram, c, w = (np.asarray(a, dtype=float) for a in (gram, c, w))
+        b, _, converged = _cd_solve(gram, c, w, lam, 40, warm, 1e-7, 10000)
+        assert converged
+        assert _kkt_holds(gram, c, w, lam, 40, b, 1e-7)
+
+    def test_well_conditioned_solve_takes_few_rounds(self):
+        rng = np.random.default_rng(32)
+        gram, c, w = _random_instance(rng, 8)
+        lam = 0.3 * np.max(2.0 * 50 * np.abs(c) / w)
+        b, rounds, converged = _cd_solve(gram, c, w, lam, 50, None, 1e-7, 10000)
+        _, sweeps, _ = cd_reference(gram, c, w, lam, 50, None, 1e-7, 10000)
+        assert converged
+        assert rounds < sweeps
+
+
 class TestFitPath:
     def test_empty_support_at_lambda_max(self):
         rng = np.random.default_rng(28)
@@ -344,6 +426,37 @@ class TestCrossValidate:
         grid = lambda_grid(R.xx, R.xy, w, 12, n_lambda=5)
         with pytest.warns(UserWarning, match="training rows"):
             cross_validate(pseudo, w, grid, folds=4, seed=0)
+
+    def test_uncertified_fold_solves_warn_once(self):
+        pseudo, _ = self._noiseless_pseudo(seed=33)
+        R = _corr_from(_pearson_of_values(pseudo))
+        w = adaptive_weights(initial_estimate_direct(R))
+        grid = lambda_grid(R.xx, R.xy, w, pseudo.shape[0], n_lambda=5)
+        # zero slack: no solve can certify, whatever the solver does
+        with pytest.warns(UserWarning, match="cross-validation") as record:
+            cross_validate(pseudo, w, grid, folds=5, seed=0, tol=0.0,
+                           max_iter=1)
+        assert sum("cross-validation" in str(r.message) for r in record) == 1
+
+    def test_scores_match_per_lambda_residuals(self):
+        pseudo, _ = self._noiseless_pseudo(seed=34)
+        pseudo = pseudo + 0.3 * np.random.default_rng(35).standard_normal(
+            pseudo.shape)
+        R = _corr_from(_pearson_of_values(pseudo))
+        w = adaptive_weights(initial_estimate_direct(R))
+        grid = lambda_grid(R.xx, R.xy, w, pseudo.shape[0], n_lambda=12)
+        cv = cross_validate(pseudo, w, grid, folds=4, seed=2)
+        perm = np.random.default_rng(2).permutation(pseudo.shape[0])
+        errors = []
+        for block in np.array_split(perm, 4):
+            train = _corr_from(_pearson_of_values(
+                pseudo[np.setdiff1d(perm, block)]))
+            path = fit_path(train, w, grid, pseudo.shape[0])
+            held = pseudo[block]
+            errors.append([np.mean((held[:, 0] - held[:, 1:] @ b) ** 2)
+                           for b in path.coefficients])
+        assert np.allclose(cv.mean_errors, np.mean(errors, axis=0),
+                           rtol=1e-12, atol=0.0)
 
     def test_fold_count_validation(self):
         with pytest.raises(ValueError, match="folds"):
