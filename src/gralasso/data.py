@@ -6,6 +6,8 @@ so that downstream partition extraction never needs an index argument.
 """
 
 import csv
+import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +88,9 @@ class DataMatrix:
     def from_csv(cls, path, response):
         """Read a headered CSV, putting `response` first.
 
-        Every cell must parse as a finite float; the error message names the
-        offending row (1-based, excluding the header) and column.
+        Every cell must be a finite float written in ASCII; the error message
+        names the first offending row (1-based, excluding the header) and
+        column. Rows stream into one float64 buffer as they are checked.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -100,29 +103,10 @@ class DataMatrix:
             header = [h.strip() for h in header]
             if response not in header:
                 raise ValueError(f"response column {response!r} not in header")
-            rows = []
-            lines = []  # file row number of each parsed row
-            i = 0
-            try:
-                for i, row in enumerate(reader, start=1):
-                    if not row or (len(row) == 1 and row[0].strip() == ""):
-                        continue
-                    try:
-                        if len(row) != len(header) or "_" in "".join(row):
-                            raise ValueError
-                        rows.append(list(map(float, row)))
-                    except ValueError:
-                        _check_nonfinite(rows, lines, header)
-                        _reject_row(i, row, header)
-                    lines.append(i)
-            except csv.Error as exc:
-                # e.g. a cell longer than csv.field_size_limit()
-                _check_nonfinite(rows, lines, header)
-                raise ValueError(f"unreadable row {i + 1}: {exc}") from None
-        if not rows:
+            arr = np.fromiter(_checked_rows(reader, header),
+                              dtype=np.dtype((float, (len(header),))))
+        if arr.shape[0] == 0:
             raise ValueError("empty input")
-        arr = np.asarray(rows, dtype=float)
-        _check_nonfinite(arr, lines, header)
         ridx = header.index(response)
         order = [ridx] + [j for j in range(len(header)) if j != ridx]
         return cls(arr[:, order], tuple(header[j] for j in order))
@@ -137,36 +121,49 @@ class DataMatrix:
                 writer.writerow([format_float(v) for v in row])
 
 
+def _checked_rows(reader, header):
+    """The non-blank rows as tuples of finite floats. A row that fails the
+    bulk parse (wrong cell count, or a cell that is not a plain ASCII
+    decimal number, which Python's float() alone does not require) or holds
+    a non-finite value goes to _reject_row for its diagnostic."""
+    i = 0
+    try:
+        for i, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and row[0].strip() == ""):
+                continue
+            joined = "".join(row)
+            if len(row) == len(header) and joined.isascii() and "_" not in joined:
+                try:
+                    values = tuple(map(float, row))
+                except ValueError:
+                    _reject_row(i, row, header)
+                # nan and inf propagate through the sum, so a finite sum
+                # proves every cell finite; only an overflow needs the cells
+                if math.isfinite(sum(values)) or all(map(math.isfinite, values)):
+                    yield values
+                    continue
+            _reject_row(i, row, header)
+    except csv.Error as exc:
+        # e.g. a cell longer than csv.field_size_limit()
+        raise ValueError(f"unreadable row {i + 1}: {exc}") from None
+
+
 def _reject_row(i, row, header):
-    """Raise the diagnostic for the first bad cell of a row that failed the
-    bulk parse: wrong cell count, or a cell that is not a plain decimal
-    number (Python's float() alone would accept digit-group underscores)."""
+    """Raise the diagnostic for the first bad cell of row i."""
     if len(row) != len(header):
         raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
     for name, cell in zip(header, row):
         try:
-            if "_" in cell:
+            if "_" in cell or not cell.isascii():
                 raise ValueError
             val = float(cell)
         except ValueError:
             raise ValueError(
-                f"non-numeric value {cell.strip()!r} at row {i}, column {name!r}"
+                f"non-numeric value {cell.strip(string.whitespace)!r} "
+                f"at row {i}, column {name!r}"
             ) from None
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ValueError(f"non-finite value at row {i}, column {name!r}")
-
-
-def _check_nonfinite(rows, lines, header):
-    """Raise for the first NaN or infinite cell of the parsed rows (a list
-    of rows or their array)."""
-    if len(rows) == 0:
-        return
-    bad = np.argwhere(~np.isfinite(np.asarray(rows, dtype=float)))
-    if bad.size:
-        r, j = bad[0]
-        raise ValueError(
-            f"non-finite value at row {lines[r]}, column {header[j]!r}"
-        )
 
 
 def as_table(Z):

@@ -26,10 +26,9 @@ __all__ = [
 # is applied; see the package docs.
 QN_CONSISTENCY = 2.2219
 
-# Largest n for which all pairwise differences are enumerated in memory.
-# Beyond this, an order-statistic selection via counting/bisection is used;
-# both paths return the same value and cross over in speed around n = 200.
-_QN_DENSE_LIMIT = 200
+# Qn lists the remaining candidate differences outright once at most
+# max(n, _QN_BAND) of them are left; at n <= 200 that is every pair.
+_QN_BAND = 20_000
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,12 @@ def _as_sample(x, min_n: int = 1, min_n_message: str | None = None) -> np.ndarra
 def median(x) -> float:
     """Sample median: middle order statistic, or the average of the two
     middle order statistics for even n."""
-    arr = _as_sample(x)
-    return float(np.median(arr))
+    return _sorted_median(np.sort(_as_sample(x)))
+
+
+def _sorted_median(xs: np.ndarray) -> float:
+    m = xs.size // 2
+    return float(xs[m]) if xs.size % 2 else float((xs[m - 1] + xs[m]) / 2)
 
 
 def qn_scale(x) -> float:
@@ -70,51 +73,102 @@ def qn_scale(x) -> float:
     difference, with h = floor(n/2) + 1 and k = C(h, 2).
 
     Robust (50% breakdown) and, unlike the MAD, efficient under normality.
-    Small samples enumerate all pairs; large samples select the same order
-    statistic by counting on the sorted values.
+    The order statistic is selected exactly in O(n log n) time on the sorted
+    sample (`_qn_kth_diff`): it is always a realised pairwise difference,
+    equal bit for bit to sorting all n(n-1)/2 of them.
     """
     arr = _as_sample(x, min_n=2, min_n_message="need at least two observations")
-    n = arr.size
-    h = n // 2 + 1
-    k = h * (h - 1) // 2
-    if n <= _QN_DENSE_LIMIT:
-        kth = _qn_kth_diff_dense(arr, k)
-    else:
-        kth = _qn_kth_diff_select(arr, k)
-    return QN_CONSISTENCY * kth
+    # robust_summary passes its sorted copy; anything else is sorted here
+    xs = arr if np.all(arr[:-1] <= arr[1:]) else np.sort(arr)
+    h = xs.size // 2 + 1
+    return QN_CONSISTENCY * _qn_kth_diff(xs, h * (h - 1) // 2)
 
 
-def _qn_kth_diff_dense(arr: np.ndarray, k: int) -> float:
-    i, j = np.triu_indices(arr.size, k=1)
-    diffs = np.abs(arr[i] - arr[j])
-    return float(np.partition(diffs, k - 1)[k - 1])
+def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
+    """k-th smallest (1-based) difference xs[i] - xs[j], j < i, of sorted xs.
 
-
-def _qn_kth_diff_select(arr: np.ndarray, k: int) -> float:
-    # k-th smallest pairwise difference without materialising all O(n^2)
-    # pairs: bisect on the value, counting pairs below the pivot in
-    # O(n log n) per step. The count only jumps at realised differences, so
-    # the bisection lands exactly on the order statistic.
-    xs = np.sort(arr)
+    Row i keeps an interval [lo[i], hi[i]) of candidate partners j; their
+    differences fall as j rises. Partners j >= hi[i] are known to lie below
+    the answer (`below` counts them) and partners j < lo[i] above it. Each
+    round takes a systematic sample of n candidates and picks two of them
+    as pivots around the target rank, as in Floyd & Rivest's selection, so
+    that a round usually cuts both sides. Every row is split at a pivot into
+    differences below, equal to and above it by counting passes (`_qn_cut`),
+    and a pivot whose own ties hold the target rank is the answer. A round
+    costs O(n log n) and keeps about 4/sqrt(n) of the candidates: 20,000
+    values take three rounds of two passes. Once at most max(n, _QN_BAND)
+    candidates remain they are listed and the answer is taken with
+    np.partition; at n <= 200 that is all pairs, and no round runs. Rows are
+    cut on the computed differences, never on xs - t, so the answer is
+    always a realised difference.
+    """
     n = xs.size
-    idx = np.arange(n)
-
-    def count_le(t: float) -> int:
-        lo = np.searchsorted(xs, xs - t, side="left")
-        return int(np.sum(idx - lo))
-
-    if count_le(0.0) >= k:
-        return 0.0
-    lo, hi = 0.0, float(xs[-1] - xs[0])
+    lo = np.zeros(n, dtype=np.intp)
+    hi = np.arange(n)
+    below = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        w = hi - lo
+        ends = np.cumsum(w)
+        m = int(ends[-1])
+        r = k - below  # rank of the answer among the remaining candidates
+        if m <= max(n, _QN_BAND):
+            rows = np.flatnonzero(w)
+            i = np.repeat(rows, w[rows])
+            j = np.arange(m) + np.repeat(hi[rows] - ends[rows], w[rows])
+            return float(np.partition(xs[i] - xs[j], r - 1)[r - 1])
+        # candidates numbered row by row; sample n of them evenly
+        pos = ((np.arange(n) + 0.5) * (m / n)).astype(np.intp)
+        i = np.searchsorted(ends, pos, side="right")
+        sample = np.sort(xs[i] - xs[hi[i] - ends[i] + pos])
+        mid = (r - 0.5) * n / m
+        spread = 2.0 * math.sqrt(n)
+        p_lo = sample[max(0, int(mid - spread))]
+        p_hi = sample[min(n - 1, int(mid + spread) + 1)]
+        # partners j >= cut[i] have differences <= p (< p when strict)
+        le_lo = _qn_cut(xs, lo, hi, p_lo, strict=False)
+        n_le_lo = int(np.sum(hi - le_lo))
+        if r <= n_le_lo:  # at or below p_lo
+            lt_lo = _qn_cut(xs, lo, hi, p_lo, strict=True)
+            if r > int(np.sum(hi - lt_lo)):
+                return float(p_lo)
+            lo = lt_lo
+            continue
+        lt_hi = _qn_cut(xs, lo, hi, p_hi, strict=True)
+        if r <= int(np.sum(hi - lt_hi)):  # strictly between the pivots
+            lo, hi = lt_hi, le_lo
+            below += n_le_lo
+            continue
+        le_hi = _qn_cut(xs, lo, hi, p_hi, strict=False)
+        n_le_hi = int(np.sum(hi - le_hi))
+        if r <= n_le_hi:
+            return float(p_hi)
+        hi = le_hi  # above p_hi
+        below += n_le_hi
+
+
+def _qn_cut(xs, lo, hi, t, strict):
+    """Per row i, the first partner j in [lo[i], hi[i]] from which on every
+    computed difference xs[i] - xs[j] is <= t (< t when strict)."""
+    cut = np.searchsorted(xs, xs - t, side="right" if strict else "left")
+    np.clip(cut, lo, hi, out=cut)
+    keep = np.less if strict else np.less_equal
+    # xs - t is rounded, so the search may stop a tie block short of the cut
+    # or past it; step over whole tie blocks until the differences agree
+    while True:
+        rows = np.flatnonzero(cut < hi)
+        rows = rows[~keep(xs[rows] - xs[cut[rows]], t)]
+        if rows.size == 0:
             break
-        if count_le(mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        step = np.searchsorted(xs, xs[cut[rows]], side="right")
+        cut[rows] = np.minimum(step, hi[rows])
+    while True:
+        rows = np.flatnonzero(cut > lo)
+        rows = rows[keep(xs[rows] - xs[cut[rows] - 1], t)]
+        if rows.size == 0:
+            break
+        step = np.searchsorted(xs, xs[cut[rows] - 1], side="left")
+        cut[rows] = np.maximum(step, lo[rows])
+    return cut
 
 
 def ranks(x, ties: str = "midrank") -> np.ndarray:
@@ -145,61 +199,68 @@ def normal_scores(x) -> np.ndarray:
     return std_normal_quantile(ranks(arr) / (arr.size + 1))
 
 
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile (central region and tails), polished below by one Newton step.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+# Wichura's AS241 (PPND16) rational approximations, lowest degree first:
+# numerator and denominator for the central region |p - 1/2| <= 0.425,
+# then for r = sqrt(-log(p)) <= 5 (shifted by 1.6) and beyond (shifted by 5).
+_AS241_CENTRAL = (
+    (3.387132872796366608, 133.14166789178437745, 1971.5909503065514427,
+     13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
+     33430.575583588128105, 2509.0809287301226727),
+    (1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+     21213.794301586595867, 39307.89580009271061, 28729.085735721942674,
+     5226.495278852854561),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055,
+     3.64784832476320460504, 1.27045825245236838258, 0.24178072517745061177,
+     0.0227238449892691845833, 7.7454501427834140764e-4),
+    (1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+     0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358,
+     0.29656057182850489123, 0.026532189526576123093, 0.0012426609473880784386,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+     7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
+     2.04426310338993978564e-15),
+)
 
-_ERFC = np.vectorize(math.erfc, otypes=[float])
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+def _rational(coefs, r):
+    num, den = coefs
+    top, bottom = num[-1], den[-1]
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        top = top * r + a
+        bottom = bottom * r + b
+    return top / bottom
 
 
-def _acklam(p: np.ndarray) -> np.ndarray:
-    # lower half only (p <= 0.5): std_normal_quantile reflects upper-tail
-    # arguments, so Acklam's upper-tail region is never reached
+def _as241_lower(p: np.ndarray) -> np.ndarray:
+    # lower half only (p <= 0.5): std_normal_quantile reflects the rest
     z = np.empty_like(p)
-    low = p < 0.02425
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        z[low] = (
-            ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q + _ACK_C[4]) * q
-            + _ACK_C[5]
-        ) / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0)
-
-    mid = ~low
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        z[mid] = (
-            ((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r + _ACK_A[4]) * r
-            + _ACK_A[5]
-        ) * q / (
-            ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r + _ACK_B[4]) * r
-            + 1.0
-        )
-
+    q = p - 0.5
+    central = q >= -0.425
+    qc = q[central]
+    z[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    r = np.sqrt(-np.log(p[~central]))
+    far = r > 5.0  # p < exp(-25), never a normal score below n = 7e10
+    r[~far] = _rational(_AS241_NEAR, r[~far] - 1.6)
+    if far.any():
+        r[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    z[~central] = -r
     return z
-
-
-def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * _ERFC(-x / _SQRT2)
 
 
 def std_normal_quantile(p):
     """Standard normal quantile for p in the open interval (0, 1).
 
-    Rational approximation followed by one Newton refinement against the
-    erfc-based CDF; absolute error is far below 1e-9 everywhere. Upper-tail
+    Wichura's AS241 (PPND16) rational approximations, accurate to about
+    1e-16 relative, evaluated with array operations only. Upper-tail
     arguments are reflected through the exact complement 1 - p, so the
-    refinement never hits cancellation and the p <-> 1-p symmetry is exact.
-    Accepts a scalar or an array and matches the input shape.
+    p <-> 1-p symmetry is exact. Accepts a scalar or an array and matches
+    the input shape.
     """
     scalar = np.isscalar(p)
     arr = np.asarray(p, dtype=float)
@@ -207,10 +268,7 @@ def std_normal_quantile(p):
         raise ValueError("probability out of range")
     flat = arr.reshape(-1) if arr.ndim else arr.reshape(1)
     flip = flat > 0.5
-    work = np.where(flip, 1.0 - flat, flat)
-    x = _acklam(work)
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    x -= (_std_normal_cdf(x) - work) / pdf
+    x = _as241_lower(np.where(flip, 1.0 - flat, flat))
     x = np.where(flip, -x, x)
     if scalar:
         return float(x[0])
@@ -218,6 +276,7 @@ def std_normal_quantile(p):
 
 
 def robust_summary(x) -> RobustSummary:
-    """Median and Qn of a sample, bundled for standardisation."""
-    arr = _as_sample(x, min_n=2, min_n_message="need at least two observations")
-    return RobustSummary(location=median(arr), scale=qn_scale(arr))
+    """Median and Qn of a sample, bundled for standardisation; the sample
+    is sorted once for both."""
+    xs = np.sort(_as_sample(x, min_n=2, min_n_message="need at least two observations"))
+    return RobustSummary(location=_sorted_median(xs), scale=qn_scale(xs))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import DataMatrix, format_float
 from .regression import fit_gr_alasso
-from .robust_stats import qn_scale, median
+from .robust_stats import robust_summary
 
 __all__ = [
     "SimDesign",
@@ -399,8 +399,9 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     fit_kwargs.setdefault("estimator", "gr")
     X = Z.X
     y = Z.y
-    med = np.array([median(X[:, j]) for j in range(Z.p)])
-    scale = np.array([qn_scale(X[:, j]) for j in range(Z.p)])
+    summaries = [robust_summary(X[:, j]) for j in range(Z.p)]
+    med = np.array([s.location for s in summaries])
+    scale = np.array([s.scale for s in summaries])
     if np.any(scale <= 0.0):
         j = int(np.flatnonzero(scale <= 0.0)[0])
         raise ValueError(f"zero scale for column {Z.predictor_names[j]!r}")

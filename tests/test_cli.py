@@ -122,6 +122,21 @@ class TestFit:
         assert "non-numeric value '1_0' at row 2, column 'x1'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "screen"])
+    @pytest.mark.parametrize("cell", ["\u0661\u0660", "\uff11\uff10", "\u00a010"],
+                             ids=["arabic-indic", "full-width", "no-break-space"])
+    def test_non_ascii_numeral_is_usage_error(self, tmp_path, capsys, command,
+                                              cell):
+        bad = tmp_path / "unicode.csv"
+        bad.write_text(f"y,x1\n1,2\n3,{cell}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main([command, "--input", str(bad), "--response", "y",
+                     "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"non-numeric value {cell!r} at row 2, column 'x1'" in err
+        assert not out.exists()
+
     def test_exports_are_the_fit_correlation(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=6)
         for estimator, corr_func in (("gr", gaussian_rank_corr_matrix),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from gralasso.data import DataMatrix
 
 def _toy(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -67,6 +69,16 @@ class TestCsv:
         with pytest.raises(ValueError, match="'1_000' at row 2, column 'a'"):
             DataMatrix.from_csv(path, "y")
 
+    @pytest.mark.parametrize("cell", ["\u0661\u0660", "\uff11\uff10", "\u00a010"],
+                             ids=["arabic-indic", "full-width", "no-break-space"])
+    def test_non_ascii_numeral_rejected(self, tmp_path, cell):
+        # Arabic-Indic and full-width digits, no-break-space padding:
+        # float() alone reads each as 10.0
+        path = _toy(tmp_path, f"y,a\n1,2\n3,{cell}\n")
+        message = f"non-numeric value {cell!r} at row 2, column 'a'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DataMatrix.from_csv(path, "y")
+
     def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
         path = _toy(tmp_path, "y,a\n1,inf\n\n3,oops\n")
         with pytest.raises(ValueError, match="non-finite value at row 1"):
@@ -74,6 +86,11 @@ class TestCsv:
         path = _toy(tmp_path, "y,a\n1,2\n\n3,4\nnan,oops\n")
         with pytest.raises(ValueError, match="non-finite value at row 4, column 'y'"):
             DataMatrix.from_csv(path, "y")
+
+    def test_finite_cells_whose_row_sum_overflows(self, tmp_path):
+        path = _toy(tmp_path, "y,a\n1e308,1e308\n-1e308,-1e308\n")
+        Z = DataMatrix.from_csv(path, "y")
+        assert np.array_equal(Z.values, [[1e308, 1e308], [-1e308, -1e308]])
 
     def test_nan_cell_diagnostic(self, tmp_path):
         path = _toy(tmp_path, "y,a\n1,nan\n")

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from gralasso import robust_stats
 from gralasso.robust_stats import (
     QN_CONSISTENCY,
     RobustSummary,
-    _qn_kth_diff_dense,
-    _qn_kth_diff_select,
+    _qn_kth_diff,
     median,
     normal_scores,
     qn_scale,
@@ -75,21 +78,73 @@ class TestQnScale:
         assert qn_scale(a * x + c) == pytest.approx(abs(a) * qn_scale(x),
                                                     rel=1e-12)
 
-    def test_select_path_equals_dense_path(self):
-        rng = np.random.default_rng(42)
-        for n in (120, 301, 500):
-            x = rng.normal(size=n)
-            h = n // 2 + 1
-            k = h * (h - 1) // 2
-            dense = _qn_kth_diff_dense(x, k)
-            selected = _qn_kth_diff_select(x, k)
-            assert selected == pytest.approx(dense, rel=1e-12)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_affine_equivariance_large_n(self, seed):
+        rng = np.random.default_rng(210 + seed)
+        x = rng.normal(size=(201, 1000, 5000)[seed])
+        a = float(rng.normal(scale=3)) or 1.0
+        c = float(rng.normal(scale=5))
+        assert qn_scale(a * x + c) == pytest.approx(abs(a) * qn_scale(x),
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_against_all_pairs_at_n_2000(self, seed):
+        # at seed 0, bisecting on the value until no float lies between the
+        # bounds gives 0.4529584686530928, which no pair realises; the k-th
+        # difference is 0.45295846865309275
+        x = np.random.default_rng(seed).standard_normal(2000)
+        i, j = np.triu_indices(x.size, k=1)
+        diffs = np.abs(x[i] - x[j])
+        h = x.size // 2 + 1
+        k = h * (h - 1) // 2
+        kth = _qn_kth_diff(np.sort(x), k)
+        assert kth == np.partition(diffs, k - 1)[k - 1]
+        assert np.sum(diffs < kth) < k <= np.sum(diffs <= kth)
+        assert qn_scale(x) == QN_CONSISTENCY * kth
 
     def test_monte_carlo_consistency(self):
         # large-sample Qn of a standard normal is the standard deviation
         rng = np.random.default_rng(7)
         x = rng.standard_normal(100_000)
         assert abs(qn_scale(x) - 1.0) <= 0.02
+
+
+@st.composite
+def _qn_samples(draw):
+    """Samples of 2 to 600 values: continuous, rounded to few distinct
+    values, with constant blocks, or all tied; optionally offset by 1e9."""
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n)
+    kind = draw(st.sampled_from(["continuous", "rounded", "blocks", "tied"]))
+    if kind == "rounded":
+        x = np.round(x, draw(st.integers(0, 2)))
+    elif kind == "blocks":
+        for _ in range(draw(st.integers(1, 3))):
+            start = int(rng.integers(n))
+            x[start:start + int(rng.integers(1, n + 1))] = x[start]
+    elif kind == "tied":
+        x[:] = x[0]
+    if draw(st.booleans()):
+        x = x + 1e9
+    return x
+
+
+class TestQnSelection:
+    @given(_qn_samples(), st.data())
+    def test_equals_sorted_brute_force_differences(self, x, data):
+        n = x.size
+        diffs = sorted(abs(a - b) for i, a in enumerate(x) for b in x[i + 1:])
+        h = n // 2 + 1
+        qn_k = h * (h - 1) // 2
+        ks = {1, qn_k, len(diffs), data.draw(st.integers(1, len(diffs)))}
+        xs = np.sort(x)
+        # a band of 0 forces narrowing rounds down to n candidates
+        for band in (robust_stats._QN_BAND, 0):
+            with mock.patch.object(robust_stats, "_QN_BAND", band):
+                for k in ks:
+                    assert _qn_kth_diff(xs, k) == diffs[k - 1]
+                assert qn_scale(x) == brute_force_qn(x)
 
 
 class TestRanks:
@@ -160,6 +215,13 @@ class TestStdNormalQuantile:
               0.6, 0.8, 0.975, 0.976, 0.99, 1 - 1e-6, 1 - 1e-9])
     def test_accuracy_against_bisection(self, p):
         assert abs(std_normal_quantile(p) - bisect_normal_quantile(p)) <= 1e-9
+
+    def test_log_grid_down_to_1e300(self):
+        for p in np.logspace(-300, np.log10(0.5), 301):
+            assert abs(std_normal_quantile(p) - bisect_normal_quantile(p)) <= 1e-12
+            if 1.0 - p < 1.0:
+                assert abs(std_normal_quantile(1.0 - p)
+                           - bisect_normal_quantile(1.0 - p)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry(self, seed):
