@@ -1,15 +1,21 @@
 """Command-line front end: fit, screen, simulate and benchmark subcommands.
 
-Every flag can also be set through an environment variable with the
-``GRALASSO_`` prefix (``--n-lambda`` -> ``GRALASSO_N_LAMBDA``); explicit
-flags win. All outputs embed the seed and package version and contain no
-timestamps, so a rerun with the same configuration is byte-identical.
+Flags that tune a fit, the simulated design or the benchmark grid can also
+be set through an environment variable with the ``GRALASSO_`` prefix
+(``--n-lambda`` -> ``GRALASSO_N_LAMBDA``); explicit flags win. ``--input``,
+``--lambda``, ``--export-correlation``, ``--export-covariance``,
+``--external-csv`` and ``--contaminate-test`` have no environment twin.
+Defaults come from the library: the `fit_gr_alasso` signature, the
+`run_grid` signature and the `SimDesign` fields. All outputs embed the seed
+and package version and contain no timestamps, so a rerun with the same
+configuration is byte-identical.
 
 Exit codes: 0 success, 2 usage or data error, 3 degraded benchmark (more
 than 10% of replicates failed).
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -21,14 +27,10 @@ from .covariance import assemble_covariance
 from .data import DataMatrix, format_float as _FMT
 from .regression import fit_gr_alasso, marginal_gr_correlations, screen_top_k
 from .simulation import (
-    ContaminationSpec,
     SimDesign,
     aggregate_records,
-    contaminate_cells,
-    gen_design,
-    gen_response,
-    mix_seed,
     read_records_csv,
+    replicate_data,
     run_grid,
     write_aggregate_csv,
     write_records_csv,
@@ -37,18 +39,24 @@ from .simulation import (
 _ENV_PREFIX = "GRALASSO_"
 
 
-def _env_default(name, default, cast):
-    value = os.environ.get(_ENV_PREFIX + name.upper())
-    if value is None:
-        return default
-    return cast(value)
+def _defaults(func):
+    return {name: par.default
+            for name, par in inspect.signature(func).parameters.items()}
 
 
-def _resolve(args, name, default, cast):
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    return _env_default(name, default, cast)
+_FIT = _defaults(fit_gr_alasso)
+_GRID = _defaults(run_grid)
+_DESIGN = SimDesign()
+
+
+def _twin(parser, flag, default, **kwargs):
+    """Add `flag` with its ``GRALASSO_`` environment variable as the default,
+    falling back to `default`; argparse converts a string default with the
+    flag's `type`, so flag > environment > default."""
+    name = flag.lstrip("-").replace("-", "_")
+    parser.add_argument(
+        flag, default=os.environ.get(_ENV_PREFIX + name.upper(), default),
+        **kwargs)
 
 
 def _float_list(text):
@@ -79,21 +87,21 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit a selection model to a CSV dataset")
     fit.add_argument("--input", required=True, help="input CSV with header")
-    fit.add_argument("--response", default=None, help="response column name")
-    fit.add_argument("--output-dir", default=None)
-    fit.add_argument("--estimator", choices=("gr", "spearman", "pearson"),
-                     default=None)
-    fit.add_argument("--weights", choices=("auto", "direct", "ridge", "unit"),
-                     default=None)
-    fit.add_argument("--kappa", type=_kappa_value, default=None,
-                     help="ridge penalty for initial weights, or 'cv'")
-    fit.add_argument("--folds", type=int, default=None)
-    fit.add_argument("--n-lambda", type=int, default=None)
-    fit.add_argument("--lambda-ratio", type=float, default=None)
-    fit.add_argument("--rule", choices=("min", "1se"), default=None)
+    _twin(fit, "--response", "y", help="response column name")
+    _twin(fit, "--output-dir", "gralasso_fit")
+    _twin(fit, "--estimator", _FIT["estimator"],
+          choices=("gr", "spearman", "pearson"))
+    _twin(fit, "--weights", _FIT["weights"],
+          choices=("auto", "direct", "ridge", "unit"))
+    _twin(fit, "--kappa", _FIT["kappa"], type=_kappa_value,
+          help="ridge penalty for initial weights, or 'cv'")
+    _twin(fit, "--folds", _FIT["folds"], type=int)
+    _twin(fit, "--n-lambda", _FIT["n_lambda"], type=int)
+    _twin(fit, "--lambda-ratio", _FIT["lambda_ratio"], type=float)
+    _twin(fit, "--rule", _FIT["rule"], choices=("min", "1se"))
     fit.add_argument("--lambda", dest="fixed_lambda", type=float, default=None,
                      help="skip CV and solve at this penalty")
-    fit.add_argument("--seed", type=int, default=None)
+    _twin(fit, "--seed", _FIT["seed"], type=int)
     fit.add_argument("--export-correlation", action="store_true",
                      help="also write the correlation matrix CSV")
     fit.add_argument("--export-covariance", action="store_true",
@@ -103,45 +111,40 @@ def build_parser():
     screen = sub.add_parser("screen",
                             help="rank predictors by marginal GR correlation")
     screen.add_argument("--input", required=True)
-    screen.add_argument("--response", default=None)
-    screen.add_argument("--output-dir", default=None)
-    screen.add_argument("--screen-k", type=int, default=None)
+    _twin(screen, "--response", "y")
+    _twin(screen, "--output-dir", "gralasso_screen")
+    _twin(screen, "--screen-k", None, type=int, help="default min(100, p)")
     screen.set_defaults(func=cmd_screen)
 
     sim = sub.add_parser("simulate",
                          help="emit one contaminated train/test dataset pair")
-    sim.add_argument("--output-dir", default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--rho", type=float, default=None)
-    sim.add_argument("--noise-sd", type=float, default=None)
-    sim.add_argument("--e", type=float, default=None,
-                     help="cellwise contamination rate")
-    sim.add_argument("--gamma", type=float, default=None,
-                     help="outlier magnitude")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.set_defaults(func=cmd_simulate)
-
     bench = sub.add_parser("benchmark",
                            help="replicated grid over rates and magnitudes")
-    bench.add_argument("--output-dir", default=None)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--p", type=int, default=None)
-    bench.add_argument("--rho", type=float, default=None)
-    bench.add_argument("--noise-sd", type=float, default=None)
-    bench.add_argument("--e-list", type=_float_list, default=None)
-    bench.add_argument("--gamma-list", type=_float_list, default=None)
-    bench.add_argument("--replicates", type=int, default=None)
-    bench.add_argument("--methods", type=_str_list, default=None,
-                       help="comma list from gr-alasso,alasso,lasso")
+    for command, outdir in ((sim, "gralasso_sim"), (bench, "gralasso_bench")):
+        _twin(command, "--output-dir", outdir)
+        _twin(command, "--n", _DESIGN.n, type=int)
+        _twin(command, "--p", _DESIGN.p, type=int)
+        _twin(command, "--rho", _DESIGN.ar1_rho, type=float)
+        _twin(command, "--noise-sd", _DESIGN.noise_sd, type=float)
+
+    _twin(sim, "--e", 0.05, type=float, help="cellwise contamination rate")
+    _twin(sim, "--gamma", 10.0, type=float, help="outlier magnitude")
+    _twin(sim, "--seed", _GRID["seed0"], type=int)
+    sim.set_defaults(func=cmd_simulate)
+
+    _twin(bench, "--e-list", [0.0, 0.02, 0.05, 0.10], type=_float_list)
+    _twin(bench, "--gamma-list", [2.0, 4.0, 6.0, 8.0, 10.0], type=_float_list)
+    _twin(bench, "--replicates", _GRID["replicates"], type=int)
+    _twin(bench, "--methods", ["gr-alasso", "alasso", "lasso"],
+          type=_str_list, help="comma list from gr-alasso,alasso,lasso")
     bench.add_argument("--external-csv", action="append", default=[],
                        help="merge an external method's records CSV into "
                             "the aggregate (repeatable)")
     bench.add_argument("--contaminate-test", action="store_true",
                        help="score prediction error on contaminated test "
                             "sets instead of clean ones")
-    bench.add_argument("--threads", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=None)
+    _twin(bench, "--threads", _GRID["threads"], type=int)
+    _twin(bench, "--seed", _GRID["seed0"], type=int)
     bench.set_defaults(func=cmd_benchmark)
 
     return parser
@@ -155,21 +158,12 @@ def _write_matrix_csv(path, matrix, columns):
 
 
 def cmd_fit(args) -> int:
-    response = _resolve(args, "response", "y", str)
-    outdir = _resolve(args, "output_dir", "gralasso_fit", str)
-    estimator = _resolve(args, "estimator", "gr", str)
-    weights = _resolve(args, "weights", "auto", str)
-    kappa = _resolve(args, "kappa", 0.1, _kappa_value)
-    folds = _resolve(args, "folds", 5, int)
-    n_lambda = _resolve(args, "n_lambda", 100, int)
-    lambda_ratio = _resolve(args, "lambda_ratio", None, float)
-    rule = _resolve(args, "rule", "1se", str)
-    seed = _resolve(args, "seed", 0, int)
-
-    Z = DataMatrix.from_csv(args.input, response)
-    fit = fit_gr_alasso(Z, estimator=estimator, weights=weights, kappa=kappa,
-                        folds=folds, n_lambda=n_lambda,
-                        lambda_ratio=lambda_ratio, rule=rule, seed=seed,
+    outdir = args.output_dir
+    Z = DataMatrix.from_csv(args.input, args.response)
+    fit = fit_gr_alasso(Z, estimator=args.estimator, weights=args.weights,
+                        kappa=args.kappa, folds=args.folds,
+                        n_lambda=args.n_lambda, lambda_ratio=args.lambda_ratio,
+                        rule=args.rule, seed=args.seed,
                         fixed_lambda=args.fixed_lambda)
 
     coef_path = os.path.join(_ensure_outdir(outdir), "coefficients.csv")
@@ -189,16 +183,16 @@ def cmd_fit(args) -> int:
 
     meta = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "input": os.path.basename(args.input),
-        "response": response,
+        "response": args.response,
         "estimator": fit.estimator,
-        "weights": weights,
+        "weights": args.weights,
         "weight_source": fit.weights.source,
-        "folds": folds,
-        "n_lambda": n_lambda,
-        "lambda_ratio": lambda_ratio,
-        "rule": rule,
+        "folds": args.folds,
+        "n_lambda": args.n_lambda,
+        "lambda_ratio": args.lambda_ratio,
+        "rule": args.rule,
         "lambda": fit.lambda_,
         "lambda_min": fit.cv.lambda_min if fit.cv is not None else None,
         "lambda_1se": fit.cv.lambda_1se if fit.cv is not None else None,
@@ -215,10 +209,10 @@ def cmd_fit(args) -> int:
     report = os.path.join(outdir, "fit_report.txt")
     with open(report, "w", encoding="utf-8") as fh:
         fh.write(f"gralasso {__version__} fit report\n")
-        fh.write(f"input: {args.input}\nresponse: {response}\n")
+        fh.write(f"input: {args.input}\nresponse: {args.response}\n")
         fh.write(f"n: {Z.n}\np: {Z.p}\nestimator: {fit.estimator}\n")
-        fh.write(f"weights: {fit.weights.source}\nseed: {seed}\n")
-        fh.write(f"rule: {rule}\nlambda: {_FMT(fit.lambda_)}\n")
+        fh.write(f"weights: {fit.weights.source}\nseed: {args.seed}\n")
+        fh.write(f"rule: {args.rule}\nlambda: {_FMT(fit.lambda_)}\n")
         if fit.cv is not None:
             fh.write(f"lambda (cv-min): {_FMT(fit.cv.lambda_min)}\n")
             fh.write(f"lambda (cv-1se): {_FMT(fit.cv.lambda_1se)}\n")
@@ -248,15 +242,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    response = _resolve(args, "response", "y", str)
-    outdir = _resolve(args, "output_dir", "gralasso_screen", str)
-    Z = DataMatrix.from_csv(args.input, response)
-    k = _resolve(args, "screen_k", min(100, Z.p), int)
+    Z = DataMatrix.from_csv(args.input, args.response)
+    k = min(100, Z.p) if args.screen_k is None else args.screen_k
     idx = screen_top_k(Z, k)
     # each column's score is independent of the others, so scoring only the
     # response and the chosen columns gives the same numbers
     corr = marginal_gr_correlations(Z.values[:, np.r_[0, idx + 1]])
-    path = os.path.join(_ensure_outdir(outdir), "screen.csv")
+    path = os.path.join(_ensure_outdir(args.output_dir), "screen.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,variable,gr_correlation\n")
         for rank, (j, r) in enumerate(zip(idx, corr), start=1):
@@ -266,27 +258,11 @@ def cmd_screen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    outdir = _ensure_outdir(_resolve(args, "output_dir", "gralasso_sim", str))
-    n = _resolve(args, "n", 100, int)
-    p = _resolve(args, "p", 20, int)
-    rho = _resolve(args, "rho", 0.5, float)
-    noise_sd = _resolve(args, "noise_sd", 1.0, float)
-    e = _resolve(args, "e", 0.05, float)
-    gamma = _resolve(args, "gamma", 10.0, float)
-    seed = _resolve(args, "seed", 0, int)
-
-    design = SimDesign(n=n, p=p, ar1_rho=rho, noise_sd=noise_sd,
-                       seed=mix_seed(seed, 1))
-    X = gen_design(design)
-    y = gen_response(X, design.beta_true, noise_sd, mix_seed(seed, 2))
-    Xc, mask = contaminate_cells(X, ContaminationSpec(e, gamma),
-                                 mix_seed(seed, 3))
-    test_design = SimDesign(n=n, p=p, ar1_rho=rho, noise_sd=noise_sd,
-                            seed=mix_seed(seed, 4))
-    X_test = gen_design(test_design)
-    y_test = gen_response(X_test, design.beta_true, noise_sd, mix_seed(seed, 5))
-
-    train = DataMatrix.from_arrays(y, Xc)
+    design = SimDesign(n=args.n, p=args.p, ar1_rho=args.rho,
+                       noise_sd=args.noise_sd)
+    train, mask, X_test, y_test = replicate_data(design, args.e, args.gamma,
+                                                 args.seed)
+    outdir = _ensure_outdir(args.output_dir)
     train.to_csv(os.path.join(outdir, "train.csv"))
     DataMatrix.from_arrays(y_test, X_test).to_csv(
         os.path.join(outdir, "test.csv"))
@@ -296,13 +272,13 @@ def cmd_simulate(args) -> int:
             fh.write(f"{i + 1},{train.predictor_names[j]}\n")
     truth = {
         "version": __version__,
-        "seed": seed,
-        "n": n,
-        "p": p,
-        "rho": rho,
-        "noise_sd": noise_sd,
-        "e": e,
-        "gamma": gamma,
+        "seed": args.seed,
+        "n": args.n,
+        "p": args.p,
+        "rho": args.rho,
+        "noise_sd": args.noise_sd,
+        "e": args.e,
+        "gamma": args.gamma,
         "beta_true": [float(b) for b in design.beta_true],
         "active_set": [int(j) for j in np.flatnonzero(design.beta_true != 0)],
         "contaminated_cells": int(mask.sum()),
@@ -316,49 +292,37 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    outdir = _ensure_outdir(_resolve(args, "output_dir", "gralasso_bench", str))
-    n = _resolve(args, "n", 100, int)
-    p = _resolve(args, "p", 20, int)
-    rho = _resolve(args, "rho", 0.5, float)
-    noise_sd = _resolve(args, "noise_sd", 1.0, float)
-    e_list = _resolve(args, "e_list", [0.0, 0.02, 0.05, 0.10], _float_list)
-    gamma_list = _resolve(args, "gamma_list", [2.0, 4.0, 6.0, 8.0, 10.0],
-                          _float_list)
-    replicates = _resolve(args, "replicates", 200, int)
-    methods = _resolve(args, "methods", ["gr-alasso", "alasso", "lasso"],
-                       _str_list)
-    threads = _resolve(args, "threads", 1, int)
-    seed = _resolve(args, "seed", 0, int)
-
-    design = SimDesign(n=n, p=p, ar1_rho=rho, noise_sd=noise_sd)
-    records = run_grid(design, e_list, gamma_list, replicates=replicates,
-                       methods=methods, seed0=seed,
-                       contaminate_test=args.contaminate_test,
-                       threads=threads)
+    design = SimDesign(n=args.n, p=args.p, ar1_rho=args.rho,
+                       noise_sd=args.noise_sd)
+    records = run_grid(design, args.e_list, args.gamma_list,
+                       replicates=args.replicates, methods=args.methods,
+                       seed0=args.seed, contaminate_test=args.contaminate_test,
+                       threads=args.threads)
     external = []
     for path in args.external_csv:
         external.extend(read_records_csv(path))
 
     meta = {
         "version": __version__,
-        "seed": seed,
-        "n": n,
-        "p": p,
-        "rho": rho,
-        "noise_sd": noise_sd,
-        "n_test": n,
-        "e_list": ";".join(_FMT(e) for e in e_list),
-        "gamma_list": ";".join(_FMT(g) for g in gamma_list),
-        "replicates": replicates,
-        "methods": ";".join(methods),
+        "seed": args.seed,
+        "n": args.n,
+        "p": args.p,
+        "rho": args.rho,
+        "noise_sd": args.noise_sd,
+        "n_test": args.n,
+        "e_list": ";".join(_FMT(e) for e in args.e_list),
+        "gamma_list": ";".join(_FMT(g) for g in args.gamma_list),
+        "replicates": args.replicates,
+        "methods": ";".join(args.methods),
         "contaminate_test": args.contaminate_test,
     }
+    outdir = _ensure_outdir(args.output_dir)
     write_records_csv(os.path.join(outdir, "records.csv"), records, meta)
     rows = aggregate_records(records + external)
     write_aggregate_csv(os.path.join(outdir, "aggregate.csv"), rows, meta)
 
     ok = sum(1 for r in records if r.status == "ok")
-    frac = ok / len(records) if records else 0.0
+    frac = ok / len(records)
     print(f"benchmark written to {outdir} "
           f"({ok}/{len(records)} replicate fits succeeded)")
     if frac < 0.9:

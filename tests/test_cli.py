@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,10 +8,16 @@ import numpy as np
 import pytest
 
 import gralasso
-from gralasso.cli import main
+from gralasso.cli import build_parser, main
 from gralasso.covariance import gaussian_rank_corr_matrix, spearman_corr_matrix
 from gralasso.data import DataMatrix
-from gralasso.regression import marginal_gr_correlations
+from gralasso.regression import fit_gr_alasso, marginal_gr_correlations
+from gralasso.simulation import (
+    SimDesign,
+    read_records_csv,
+    replicate_data,
+    run_grid,
+)
 
 from oracles import ols_fit
 
@@ -150,6 +157,16 @@ class TestFit:
             expected = corr_func(DataMatrix.from_csv(path, "y")).matrix
             assert np.array_equal(corr, expected)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_lambda_is_usage_error(self, tmp_path,
+                                                          capsys, value):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out), "--lambda", value]) == 2
+        assert "lambda must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_override_and_flag_priority(self, tmp_path, monkeypatch):
         path, _, _ = _fixture_csv(tmp_path, seed=8)
         out_env = tmp_path / "env"
@@ -257,6 +274,31 @@ class TestSimulate:
         for name in ("train.csv", "test.csv", "mask.csv", "truth.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_writes_the_shared_replicate_data(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--output-dir", str(out), "--seed", "11",
+                     "--n", "30", "--p", "6", "--e", "0.1",
+                     "--gamma", "5"]) == 0
+        train, mask, X_test, y_test = replicate_data(SimDesign(n=30, p=6),
+                                                     0.1, 5.0, 11)
+        train.to_csv(tmp_path / "train.csv")
+        DataMatrix.from_arrays(y_test, X_test).to_csv(tmp_path / "test.csv")
+        for name in ("train.csv", "test.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        mask_rows = (out / "mask.csv").read_text().splitlines()[1:]
+        assert mask_rows == [f"{i + 1},x{j + 1}" for i, j in np.argwhere(mask)]
+
+    def test_env_twins_and_flag_priority(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GRALASSO_OUTPUT_DIR", "from_env")
+        monkeypatch.setenv("GRALASSO_N", "30")
+        monkeypatch.setenv("GRALASSO_P", "7")
+        monkeypatch.setenv("GRALASSO_E", "0")
+        assert main(["simulate", "--p", "4"]) == 0
+        truth = json.loads((tmp_path / "from_env" / "truth.json").read_text())
+        assert (truth["n"], truth["p"], truth["e"]) == (30, 4, 0.0)
+        assert truth["contaminated_cells"] == 0
+
     def test_invalid_design_is_usage_error(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "x"),
                      "--rho", "1.5"]) == 2
@@ -301,6 +343,28 @@ class TestBenchmark:
         agg = (out / "aggregate.csv").read_text()
         assert "rlars" in agg and "gr-alasso" in agg
 
+    def test_env_twins_and_flag_priority(self, tmp_path, monkeypatch):
+        for name, value in {"N": "50", "P": "4", "E_LIST": "0.05",
+                            "GAMMA_LIST": "6,8", "REPLICATES": "3",
+                            "METHODS": "gr-alasso,lasso", "SEED": "4"}.items():
+            monkeypatch.setenv("GRALASSO_" + name, value)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out),
+                     "--replicates", "1", "--methods", "gr-alasso"]) == 0
+        records = read_records_csv(out / "records.csv")
+        assert [(r.e, r.gamma, r.method) for r in records] == [
+            (0.05, 6.0, "gr-alasso"), (0.05, 8.0, "gr-alasso")]
+        header = (out / "records.csv").read_text().splitlines()
+        for line in ("# seed=4", "# n=50", "# p=4", "# replicates=1"):
+            assert line in header
+
+    @pytest.mark.parametrize("flag", ["--e-list", "--gamma-list"])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), flag, ""]) == 2
+        assert "must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_flag_matches_serial_aggregate(self, tmp_path):
         base = ["benchmark", "--n", "60", "--p", "5", "--e-list", "0.05",
                 "--gamma-list", "8", "--replicates", "4", "--methods",
@@ -310,6 +374,26 @@ class TestBenchmark:
         assert main(base + ["--output-dir", str(par), "--threads", "2"]) == 0
         assert (s / "aggregate.csv").read_bytes() == \
             (par / "aggregate.csv").read_bytes()
+
+
+class TestDefaults:
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        fit = parser.parse_args(["fit", "--input", "data.csv"])
+        fit_defaults = inspect.signature(fit_gr_alasso).parameters
+        for name in ("estimator", "weights", "kappa", "folds", "n_lambda",
+                     "lambda_ratio", "rule", "seed", "fixed_lambda"):
+            assert getattr(fit, name) == fit_defaults[name].default, name
+        grid_defaults = inspect.signature(run_grid).parameters
+        design = SimDesign()
+        for command in ("simulate", "benchmark"):
+            args = parser.parse_args([command])
+            assert (args.n, args.p, args.rho, args.noise_sd) == (
+                design.n, design.p, design.ar1_rho, design.noise_sd)
+            assert args.seed == grid_defaults["seed0"].default
+        bench = parser.parse_args(["benchmark"])
+        assert bench.replicates == grid_defaults["replicates"].default
+        assert bench.threads == grid_defaults["threads"].default
 
 
 class TestEntryPoint:

@@ -27,7 +27,7 @@ from gralasso.regression import (
     weighted_lasso_cd,
     _cd_solve,
 )
-from gralasso.robust_stats import RobustSummary
+from gralasso.robust_stats import RobustSummary, normal_scores
 
 from oracles import (
     cd_reference,
@@ -546,6 +546,51 @@ class TestScreening:
         assert screen_top_k(Z, 1)[0] == 1
 
 
+def _marginal_loop(values):
+    """The per-column loop `marginal_gr_correlations` replaced: the reference
+    for the vectorised reduction, which sums in another order."""
+    ys = normal_scores(values[:, 0])
+    ys = (ys - ys.mean()) / np.linalg.norm(ys - ys.mean())
+    out = np.zeros(values.shape[1] - 1)
+    for j in range(1, values.shape[1]):
+        col = values[:, j]
+        if np.all(col == col[0]):
+            continue
+        xs = normal_scores(col)
+        xs = xs - xs.mean()
+        out[j - 1] = float(ys @ (xs / np.linalg.norm(xs)))
+    return np.clip(out, -1.0, 1.0)
+
+
+class TestMarginalCorrelations:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_column_loop(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        n, p = 20 + 60 * seed, 12
+        values = rng.standard_normal((n, p + 1))
+        values[:, 3] = np.round(values[:, 3])  # heavy ties
+        values[:, 5] = 2.5  # all tied: correlation 0
+        values[:, 7] = values[:, 0]
+        corr = marginal_gr_correlations(values)
+        assert corr[4] == 0.0
+        assert np.abs(corr - _marginal_loop(values)).max() <= \
+            8 * np.finfo(float).eps
+
+    def test_subset_of_columns_gives_the_same_bits(self):
+        rng = np.random.default_rng(1410)
+        values = rng.standard_normal((45, 10))
+        full = marginal_gr_correlations(values)
+        for cols in ([3], [8, 1], [2, 5, 9, 4]):
+            sub = marginal_gr_correlations(values[:, [0] + cols])
+            assert np.array_equal(sub, full[np.array(cols) - 1])
+
+    def test_tied_response_raises(self):
+        values = np.column_stack([np.ones(15),
+                                  np.random.default_rng(1411).random(15)])
+        with pytest.raises(ValueError, match="degenerate response"):
+            marginal_gr_correlations(values)
+
+
 class TestFitGrAlasso:
     def test_exact_single_predictor(self):
         x = np.linspace(-3.0, 3.0, 25)
@@ -657,3 +702,50 @@ class TestFitGrAlasso:
         fit = fit_gr_alasso(DataMatrix.from_arrays(y, X),
                             estimator="spearman", seed=0)
         assert 1 in fit.support
+
+    def test_fixed_lambda_is_a_one_point_path(self):
+        rng = np.random.default_rng(48)
+        X = rng.standard_normal((70, 6))
+        y = X @ np.array([1.0, -1.0, 0, 0, 0.5, 0]) + rng.standard_normal(70)
+        fit = fit_gr_alasso(DataMatrix.from_arrays(y, X), fixed_lambda=5.0)
+        assert fit.path.lambdas.tolist() == [5.0]
+        assert fit.cv is None and fit.lambda_ == 5.0 and fit.converged
+        b = fit.path.coefficients[0]
+        assert fit.support == tuple(np.flatnonzero(b))
+        R = _pearson_of_values(score_matrix(np.column_stack([y, X]),
+                                            "gaussian-rank"))
+        assert _kkt_holds(R[1:, 1:], R[1:, 0], fit.weights.weights, 5.0, 70,
+                          b, 1e-7)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_fixed_lambda_must_be_finite_and_nonnegative(self, value):
+        rng = np.random.default_rng(49)
+        Z = DataMatrix.from_arrays(rng.standard_normal(30),
+                                   rng.standard_normal((30, 3)))
+        with pytest.raises(ValueError,
+                           match="lambda must be finite and nonnegative"):
+            fit_gr_alasso(Z, fixed_lambda=value)
+
+    def test_fixed_lambda_with_every_predictor_excluded(self):
+        rng = np.random.default_rng(50)
+        X = rng.standard_normal((40, 3))
+        Z = DataMatrix.from_arrays(X[:, 0] + rng.standard_normal(40), X)
+        # every |b0_j| is at most exclusion_eps, so every weight is +inf
+        fit = fit_gr_alasso(Z, exclusion_eps=1e6, fixed_lambda=1.0)
+        assert not np.isfinite(fit.weights.weights).any()
+        assert fit.support == () and fit.converged
+        assert np.array_equal(fit.beta, np.zeros(3))
+        with pytest.raises(ValueError, match="no admissible predictors"):
+            fit_gr_alasso(Z, exclusion_eps=1e6)
+
+    def test_auto_weights_fall_back_to_ridge_when_direct_is_ill_conditioned(self):
+        rng = np.random.default_rng(51)
+        X = rng.standard_normal((60, 8))
+        X = np.column_stack([X, X[:, 0]])  # a copy of x1 at p < n/2
+        y = X[:, 0] - X[:, 2] + 0.5 * rng.standard_normal(60)
+        Z = DataMatrix.from_arrays(y, X)
+        fit = fit_gr_alasso(Z, seed=0)
+        assert fit.weights.source == "ridge(kappa=0.1)"
+        assert 2 in fit.support
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            fit_gr_alasso(Z, weights="direct", seed=0)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gralasso.simulation import (
     gen_response,
     mix_seed,
     read_records_csv,
+    replicate_data,
     run_grid,
     selection_stability_study,
     write_aggregate_csv,
@@ -178,6 +180,28 @@ class TestMetrics:
                             np.zeros(2))
 
 
+class TestReplicateData:
+    @pytest.mark.parametrize("contaminate_test", [False, True])
+    def test_stream_positions(self, contaminate_test):
+        # stream t of the replicate seed feeds one fixed purpose each;
+        # moving any of them would re-roll every published benchmark
+        design, rs, spec = SimDesign(n=40, p=6), 12345, ContaminationSpec(0.1, 8.0)
+        train, mask, X_test, y_test = replicate_data(
+            design, 0.1, 8.0, rs, n_test=25, contaminate_test=contaminate_test)
+        X = gen_design(replace(design, seed=mix_seed(rs, 1)))
+        Xc, expected_mask = contaminate_cells(X, spec, mix_seed(rs, 3))
+        assert np.array_equal(train.y, gen_response(X, design.beta_true, 1.0,
+                                                    mix_seed(rs, 2)))
+        assert np.array_equal(train.X, Xc)
+        assert np.array_equal(mask, expected_mask)
+        X_t = gen_design(replace(design, n=25, seed=mix_seed(rs, 4)))
+        assert np.array_equal(y_test, gen_response(X_t, design.beta_true, 1.0,
+                                                   mix_seed(rs, 5)))
+        if contaminate_test:
+            X_t, _ = contaminate_cells(X_t, spec, mix_seed(rs, 6))
+        assert np.array_equal(X_test, X_t)
+
+
 class TestRunGrid:
     def test_requires_gr_alasso(self):
         with pytest.raises(ValueError, match="gr-alasso"):
@@ -197,6 +221,11 @@ class TestRunGrid:
         assert (cell_seed(0, e_list[0], gamma_list[0], 0)
                 == cell_seed(0, e_list[-1], gamma_list[-1], 0))
         with pytest.raises(ValueError, match=re.escape(clash)):
+            run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=1)
+
+    @pytest.mark.parametrize("e_list, gamma_list", [([], [2.0]), ([0.0], [])])
+    def test_rejects_an_empty_grid(self, e_list, gamma_list):
+        with pytest.raises(ValueError, match="must be nonempty"):
             run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=1)
 
     def test_repeated_cell_values_are_not_a_clash(self):
