@@ -165,6 +165,11 @@ def cmd_fit(args) -> int:
                         n_lambda=args.n_lambda, lambda_ratio=args.lambda_ratio,
                         rule=args.rule, seed=args.seed,
                         fixed_lambda=args.fixed_lambda)
+    # with --lambda the grid and rule choose nothing, and the folds serve
+    # only a ridge kappa picked by CV
+    cv = fit.cv is not None
+    folds_used = cv or (args.kappa == "cv"
+                        and fit.weights.source.startswith("ridge"))
 
     coef_path = os.path.join(_ensure_outdir(outdir), "coefficients.csv")
     with open(coef_path, "w", encoding="utf-8") as fh:
@@ -173,7 +178,7 @@ def cmd_fit(args) -> int:
             fh.write(f"{name},{_FMT(fit.beta[j])},"
                      f"{int(j in set(fit.support))}\n")
 
-    if fit.cv is not None:
+    if cv:
         with open(os.path.join(outdir, "cv_curve.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("lambda,mean_error,se_error\n")
@@ -189,13 +194,13 @@ def cmd_fit(args) -> int:
         "estimator": fit.estimator,
         "weights": args.weights,
         "weight_source": fit.weights.source,
-        "folds": args.folds,
-        "n_lambda": args.n_lambda,
-        "lambda_ratio": args.lambda_ratio,
-        "rule": args.rule,
+        "folds": args.folds if folds_used else None,
+        "n_lambda": args.n_lambda if cv else None,
+        "lambda_ratio": args.lambda_ratio if cv else None,
+        "rule": args.rule if cv else None,
         "lambda": fit.lambda_,
-        "lambda_min": fit.cv.lambda_min if fit.cv is not None else None,
-        "lambda_1se": fit.cv.lambda_1se if fit.cv is not None else None,
+        "lambda_min": fit.cv.lambda_min if cv else None,
+        "lambda_1se": fit.cv.lambda_1se if cv else None,
         "intercept": fit.intercept,
         "selected": list(fit.selected_names),
         "converged": fit.converged,
@@ -212,8 +217,10 @@ def cmd_fit(args) -> int:
         fh.write(f"input: {args.input}\nresponse: {args.response}\n")
         fh.write(f"n: {Z.n}\np: {Z.p}\nestimator: {fit.estimator}\n")
         fh.write(f"weights: {fit.weights.source}\nseed: {args.seed}\n")
-        fh.write(f"rule: {args.rule}\nlambda: {_FMT(fit.lambda_)}\n")
-        if fit.cv is not None:
+        if cv:
+            fh.write(f"rule: {args.rule}\n")
+        fh.write(f"lambda: {_FMT(fit.lambda_)}\n")
+        if cv:
             fh.write(f"lambda (cv-min): {_FMT(fit.cv.lambda_min)}\n")
             fh.write(f"lambda (cv-1se): {_FMT(fit.cv.lambda_1se)}\n")
         fh.write(f"converged: {fit.converged}\n")

@@ -10,13 +10,13 @@ with G and c the predictor block and predictor-response column of a
 end. Cellwise robustness comes entirely from the plugged-in correlation
 estimator and the per-column location/scale summaries.
 
-Each lambda is solved by an active-set method warm-started from the
-previous grid point: one linear solve on the working set per round, a
-feature-sign line search when a sign flips, and a vectorised KKT check that
-certifies the solution or admits violators. A singular working-set block
-(p > n in ridge mode, tied predictors) is stepped along its null direction.
-Cyclic soft-threshold sweeps over the working set remain only as the
-fallback when the certificate stalls or the round budget runs out.
+The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
+2000; Efron et al. 2004). The solver traces that path exactly from
+lambda = +inf: one linear solve on the active set per piece, the next kink
+where a coefficient reaches zero or an inactive gradient reaches its
+penalty, and every grid point read off its piece in closed form under a
+vectorised KKT certificate. Cross-validation folds, the final path and a
+fixed lambda all run through the same path.
 """
 
 import warnings
@@ -78,9 +78,9 @@ class AdaptiveWeights:
 class LassoPath:
     """Solutions over a descending lambda grid (standardised scale).
 
-    `iterations[i]` counts the solver rounds spent at lambda i: passes of the
-    active-set loop (one linear solve and a sign or KKT check each) plus any
-    fallback coordinate sweeps.
+    `iterations[i]` counts the pieces of the exact path (one linear solve
+    each) started since grid point i - 1, so `iterations.sum()` is the
+    number of pieces traced down to the last grid point.
     """
 
     lambdas: np.ndarray
@@ -133,7 +133,7 @@ class SelectionFit:
 
 
 def _weight_vector(w) -> np.ndarray:
-    return w.weights if isinstance(w, AdaptiveWeights) else np.asarray(w, dtype=float)
+    return (w if isinstance(w, AdaptiveWeights) else AdaptiveWeights(w, "given")).weights
 
 
 def column_summaries(Z, estimator: str = "gr"):
@@ -218,179 +218,82 @@ def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
     return np.geomspace(lam_max, lam_max * ratio, n_lambda)
 
 
-# Rounds of the active-set loop allowed per solve before the soft-threshold
-# sweep takes over.
-_ROUND_BUDGET = 50
-# Relative curvature (to the largest diagonal entry of the gram) along a
-# solve's step below which the working-set block counts as singular.
-_FLAT = 1e-12
-
-
 def _kkt(gram, c, lamw, finite, slack, n, b):
-    """KKT check at b within `slack`; +inf weights are pinned at zero and
-    skipped. Returns (certified, violating zero coordinates, 2n(Gb - c))."""
+    """KKT certificate for b within `slack`; +inf weights are pinned at zero
+    and skipped."""
     grad = 2.0 * n * (gram @ b - c)
     nz = finite & (b != 0.0)
     viol = finite & (b == 0.0) & (np.abs(grad) > lamw + slack)
-    ok = not viol.any() and bool(
+    return not viol.any() and bool(
         (np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack).all())
-    return ok, viol, grad
 
 
-def _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter):
-    """Active-set solve of the penalised quadratic from a warm start.
+def _solve_path(gram, c, wv, grid, n, tol):
+    """Exact homotopy down a descending grid: (coefficients, pieces,
+    certified), one row or entry per lambda.
 
-    The working set A is the warm start's support plus every admissible
-    coordinate whose gradient exceeds its penalty; an entrant takes the sign
-    opposite to its gradient. A round solves G_AA x = c_A - lambda w_A s_A /
-    (2n) with the signs s fixed. If every sign of x agrees with s, x is
-    accepted and one vectorised KKT check certifies it or adds the violating
-    coordinates to A. Otherwise the iterate moves toward x up to the first
-    sign crossing and the crossing coordinate leaves A (feature-sign line
-    search). A singular G_AA gives no x; the iterate then moves along a null
-    direction of G_AA, downhill for the signed objective, to its first sign
-    crossing. If the certificate fails on the working set itself, no crossing
-    bounds a null direction or `_ROUND_BUDGET` rounds pass, the
-    soft-threshold sweep over A (`_sweep`) takes over. Returns (solution,
-    rounds, converged); a round is one pass of the loop here or one sweep
-    there.
+    From lambda = +inf and an empty active set A, each piece solves
+    G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda v with the
+    active signs s. It ends at the largest lambda below the current one
+    where an active b_k reaches zero moving toward it (s_k v_k < 0), or an
+    inactive |a_j + lambda d_j| reaches lambda w_j from below (w_j -+ d_j >
+    0), with a = 2n(c - G_:A u) and d = 2n G_:A v; k leaves or j joins A.
+    Joins with |a_j| <= 10 tol n are skipped: the piece already certifies j
+    at every lower lambda, and such rounding-level joins would make G_AA
+    singular on rank-deficient or duplicated predictors. Each grid point is
+    read off its piece and KKT checked; `pieces[i]` counts the pieces
+    started since grid point i - 1.
     """
-    p = c.size
-    b = np.zeros(p) if warm is None else np.array(warm, dtype=float, copy=True)
     finite = np.isfinite(wv)
-    b[~finite] = 0.0
-    diag = np.diagonal(gram)[finite]
-    if (diag <= 0.0).any():
+    if (np.diagonal(gram)[finite] <= 0.0).any():
         raise ValueError("degenerate predictor variance")
-    # curvature per unit step below which G_AA counts as singular
-    flat = _FLAT * diag.max() if diag.size else 0.0
-    lamw = np.full(p, np.inf)
-    lamw[finite] = lam * wv[finite]
-    thr = lamw / (2.0 * n)
     slack = 10.0 * tol * n
-    # grad stays current while A holds entrants: only a step of length zero
-    # leaves them in A, and it does not move b
-    grad = 2.0 * n * (gram @ b - c)
-    active = finite & ((b != 0.0) | (np.abs(grad) > lamw))
-    rounds = 0
-    while rounds < _ROUND_BUDGET:
-        rounds += 1
-        idx = np.flatnonzero(active)
-        if idx.size:
-            b_a = b[idx]
-            sign = np.sign(b_a)
-            entrant = sign == 0.0
-            sign[entrant] = -np.sign(grad[idx[entrant]])
-            g_aa = gram[idx[:, None], idx]
-            t_max = 1.0
-            try:
-                x = np.linalg.solve(g_aa, c[idx] - thr[idx] * sign)
-                move = x - b_a
-                norm2 = move @ move
-                if not norm2 <= 0.0 and not move @ (g_aa @ move) > flat * norm2:
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError:
-                # G_AA is (numerically) singular, so the signed objective has
-                # no minimiser on A: move downhill along a null direction
-                x, t_max = None, np.inf
-                move = np.linalg.eigh(g_aa)[1][:, 0]
-                if (2.0 * n * (gram[idx] @ b - c[idx])
-                        + lamw[idx] * sign) @ move > 0.0:
-                    move = -move
-            if x is None or (lam > 0.0 and not (x * sign > 0.0).all()):
-                sd = sign * move
-                dec = sd < 0.0
-                t_cross = np.full(idx.size, np.inf)
-                t_cross[dec] = sign[dec] * b_a[dec] / -sd[dec]
-                t = min(t_max, t_cross.min())
-                if t == np.inf:
-                    break
-                if t > 0.0:
-                    step = b_a + t * move
-                    step[t_cross <= t] = 0.0
-                    b[idx] = step
-                    out = step * sign <= 0.0
-                else:
-                    # only entrants cross at t = 0; if all of them turned,
-                    # keep the largest violator, which alone cannot turn at
-                    # an exact solution on the support
-                    out = t_cross == 0.0
-                    if out.sum() == entrant.sum() > 1:
-                        ent = idx[entrant]
-                        out[np.flatnonzero(entrant)[
-                            np.argmax(np.abs(grad[ent]) - lamw[ent])]] = False
-                gone = idx[out]
-                b[gone] = 0.0
-                active[gone] = False
-                continue
-            before = b.copy()
-            b[idx] = x
-        ok, viol, grad = _kkt(gram, c, lamw, finite, slack, n, b)
-        if ok:
-            return b, rounds, True
-        if not viol.any():
-            # the certificate fails on the working set itself: x is not
-            # accurate enough (near-singular G_AA) or the slack is zero, so
-            # the sweep starts from the iterate before this solve
-            b = before
-            break
-        active |= viol
-    return _sweep(gram, c, thr, lamw, finite, slack, n, b, active, tol,
-                  max_iter, rounds)
+    coefs = np.zeros((grid.size, c.size))
+    pieces = np.zeros(grid.size, dtype=int)
+    conv = np.zeros(grid.size, dtype=bool)
+    sign = np.zeros(c.size)  # active coordinates carry their sign, others 0
+    lam, i = np.inf, 0
+    while i < grid.size:
+        pieces[i] += 1
+        active = np.flatnonzero(sign)
+        s_a = sign[active]
+        uv = np.linalg.solve(gram[np.ix_(active, active)], np.column_stack(
+            [c[active], wv[active] * s_a / (2.0 * n)]))
+        u, v = uv[:, 0], uv[:, 1]
+        ad = 2.0 * n * (gram[:, active] @ uv)
+        a, d = 2.0 * n * c - ad[:, 0], ad[:, 1]
+        # kinks below lam: (lambda, coordinate, its new sign; 0 leaves)
+        leave = s_a * v < 0.0
+        kinks = [(u[leave] / v[leave], active[leave], np.zeros(leave.sum()))]
+        out = finite & (sign == 0.0) & (np.abs(a) > slack)
+        for s in (1.0, -1.0):
+            j = np.flatnonzero(out & (wv - s * d > 0.0))
+            kinks.append((s * a[j] / (wv[j] - s * d[j]), j, np.full(j.size, s)))
+        lams, who, how = (np.concatenate(t) for t in zip(*kinks))
+        # a join at or above lam is a tie within rounding and happens at once;
+        # a leave must come strictly below lam
+        join = how != 0.0
+        lams[join] = np.minimum(lams[join], lam)
+        lams[(lams < 0.0) | (~join & (lams >= lam))] = 0.0
+        lam = lams.max(initial=0.0)
+        while i < grid.size and grid[i] >= lam:
+            coefs[i, active] = u - grid[i] * v
+            lamw = np.full(c.size, np.inf)
+            lamw[finite] = grid[i] * wv[finite]
+            conv[i] = _kkt(gram, c, lamw, finite, slack, n, coefs[i])
+            i += 1
+        if i < grid.size:
+            # a grid point is left below lam > 0, so a kink ends this piece
+            k = int(np.argmax(lams))
+            sign[who[k]] = how[k]
+    return coefs, pieces, conv
 
 
-def _sweep(gram, c, thr, lamw, finite, slack, n, b, active, tol, max_iter,
-           rounds):
-    """Cyclic soft-threshold coordinate descent over the working set, the
-    fallback of `_cd_solve`. After a sweep whose largest coordinate change is
-    below `tol`, the full KKT check certifies b or adds its violators to the
-    set; at most `max_iter` sweeps."""
-    diag = np.diagonal(gram)
-    order = np.flatnonzero(active)
-    s = gram @ b
-    for _ in range(max_iter):
-        rounds += 1
-        dmax = 0.0
-        for j in order:
-            gj = diag[j]
-            rho = c[j] - s[j] + gj * b[j]
-            t = thr[j]
-            if rho > t:
-                bj = (rho - t) / gj
-            elif rho < -t:
-                bj = (rho + t) / gj
-            else:
-                bj = 0.0
-            d = bj - b[j]
-            if d != 0.0:
-                s += d * gram[j]
-                b[j] = bj
-                ad = abs(d)
-                if ad > dmax:
-                    dmax = ad
-        if dmax < tol:
-            s = gram @ b
-            ok, viol, _ = _kkt(gram, c, lamw, finite, slack, n, b)
-            if ok:
-                return b, rounds, True
-            active |= viol
-            order = np.flatnonzero(active)
-    return b, rounds, False
-
-
-def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
-                      tol: float = 1e-7, max_iter: int = 10000) -> np.ndarray:
-    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j|.
-
-    Active-set solver: each round solves the stationarity equations
-    G_AA b_A = c_A - lambda w_A sign(b_A) / (2n) on a working set A with one
-    linear solve, steps back to the first sign crossing when a sign flips
-    (along a null direction when G_AA is singular), and admits the
-    coordinates that violate the KKT conditions until they certify the
-    solution within 10 * tol * n. A stalled certificate or an exhausted round
-    budget falls back to cyclic soft-threshold updates over A, at most
-    `max_iter` sweeps, under the same certificate.
-    """
+def weighted_lasso_cd(gram, c, w, lam: float, n: int,
+                      tol: float = 1e-7) -> np.ndarray:
+    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j|: the exact path
+    (`_solve_path`) traced from lambda_max down to `lam`, with a KKT
+    certificate within 10 * tol * n; an uncertified solution warns."""
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(c, dtype=float)
     wv = _weight_vector(w)
@@ -398,13 +301,11 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int, warm=None,
         raise ValueError("dimension mismatch between gram, c and weights")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    b, rounds, converged = _cd_solve(gram, c, wv, lam, n, warm, tol, max_iter)
-    if not converged:
-        warnings.warn(
-            f"the lasso solver stopped after {rounds} rounds without a "
-            "KKT certificate; returning the last iterate"
-        )
-    return b
+    b, pieces, ok = _solve_path(gram, c, wv, np.array([float(lam)]), n, tol)
+    if not ok[0]:
+        warnings.warn(f"the lasso path stopped after {pieces[0]} pieces "
+                      "without a KKT certificate; returning its solution")
+    return b[0]
 
 
 def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
@@ -418,23 +319,8 @@ def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
     return quad + float(lam * np.sum(wv[act] * np.abs(b[act])))
 
 
-def _solve_path(gram, c, wv, grid, n, tol, max_iter):
-    """Warm-started solves down a descending grid: (coefficients, rounds,
-    converged), one row or entry per lambda."""
-    coefs = np.zeros((grid.size, c.size))
-    rounds = np.zeros(grid.size, dtype=int)
-    conv = np.zeros(grid.size, dtype=bool)
-    b = None
-    for i, lam in enumerate(grid):
-        b, rounds[i], conv[i] = _cd_solve(gram, c, wv, float(lam), n, b, tol,
-                                          max_iter)
-        coefs[i] = b
-    return coefs, rounds, conv
-
-
-def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
-             max_iter: int = 10000) -> LassoPath:
-    """Warm-started solution path over a descending lambda grid.
+def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
+    """Exact solution path read off at a descending lambda grid.
 
     `cov` is anything with `xx`/`xy` partitions (a CorrelationMatrix or a
     CovarianceModel).
@@ -442,16 +328,16 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7,
     grid = np.asarray(grid, dtype=float)
     if grid.size > 1 and np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
-    coefs, rounds, conv = _solve_path(
+    coefs, pieces, conv = _solve_path(
         np.asarray(cov.xx, dtype=float), np.asarray(cov.xy, dtype=float),
-        _weight_vector(w), grid, n, tol, max_iter)
+        _weight_vector(w), grid, n, tol)
     if not np.all(conv):
         warnings.warn("the lasso solver did not certify convergence at "
                       f"{int(np.sum(~conv))} of {grid.size} grid points")
     supports = tuple(tuple(int(j) for j in np.flatnonzero(b != 0.0))
                      for b in coefs)
     return LassoPath(lambdas=grid.copy(), coefficients=coefs,
-                     supports=supports, iterations=rounds, converged=conv)
+                     supports=supports, iterations=pieces, converged=conv)
 
 
 def _cv_folds(values, folds, seed):
@@ -462,6 +348,10 @@ def _cv_folds(values, folds, seed):
     fold's gram/c come from the Pearson correlation of the other blocks'
     rows, taken in sorted row order.
     """
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
+    if values.shape[0] < folds:
+        raise ValueError("need at least as many rows as folds")
     perm = np.random.default_rng(seed).permutation(values.shape[0])
     for block in np.array_split(perm, folds):
         corr = _pearson_of_values(values[np.setdiff1d(perm, block)])
@@ -469,7 +359,7 @@ def _cv_folds(values, folds, seed):
 
 
 def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
-                   tol: float = 1e-7, max_iter: int = 10000) -> CvCurve:
+                   tol: float = 1e-7) -> CvCurve:
     """K-fold cross-validation on the pseudo-data (response in column 0).
 
     Rows are shuffled once with the given seed and split into contiguous
@@ -483,15 +373,11 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
     values, _ = as_table(pseudo)
     n_rows, width = values.shape
     p = width - 1
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
-    if n_rows < folds:
-        raise ValueError("need at least as many rows as folds")
     if n is None:
         n = n_rows
     grid = np.asarray(grid, dtype=float)
     wv = _weight_vector(w)
-    errors = np.empty((folds, grid.size))
+    errors = []
     uncertified = 0
     for f, (gram, cvec, held_y, held_x) in enumerate(
             _cv_folds(values, folds, seed)):
@@ -500,13 +386,15 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
             warnings.warn(
                 f"fold {f}: only {n_train} training rows for {p} predictors"
             )
-        coefs, _, conv = _solve_path(gram, cvec, wv, grid, n, tol, max_iter)
+        coefs, _, conv = _solve_path(gram, cvec, wv, grid, n, tol)
         uncertified += int(np.sum(~conv))
-        errors[f] = np.mean((held_y[:, None] - held_x @ coefs.T) ** 2, axis=0)
+        errors.append(np.mean((held_y[:, None] - held_x @ coefs.T) ** 2,
+                              axis=0))
     if uncertified:
         warnings.warn("cross-validation: the lasso solver did not certify "
                       f"convergence at {uncertified} of {folds * grid.size} "
                       "fold grid points")
+    errors = np.array(errors)
     mean = errors.mean(axis=0)
     se = errors.std(axis=0, ddof=1) / np.sqrt(folds)
     idx_min = int(np.argmin(mean))
@@ -568,20 +456,18 @@ def _ridge_kappa_by_cv(values, folds, seed, kappas=None):
     if kappas is None:
         kappas = np.logspace(-3.0, 1.0, 9)
     eye = np.eye(values.shape[1] - 1)
-    errs = np.zeros((folds, len(kappas)))
-    for f, (gram, cvec, held_y, held_x) in enumerate(
-            _cv_folds(values, folds, seed)):
-        for i, kap in enumerate(kappas):
-            resid = held_y - held_x @ np.linalg.solve(gram + kap * eye, cvec)
-            errs[f, i] = np.mean(resid * resid)
-    return float(kappas[int(np.argmin(errs.mean(axis=0)))])
+    errs = [[np.mean((held_y - held_x @ np.linalg.solve(gram + kap * eye,
+                                                          cvec)) ** 2)
+             for kap in kappas]
+            for gram, cvec, held_y, held_x in _cv_folds(values, folds, seed)]
+    return float(kappas[int(np.argmin(np.mean(errs, axis=0)))])
 
 
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
                   kappa=0.1, exclusion_eps: float = 1e-10,
                   n_lambda: int = 100, lambda_ratio=None, folds: int = 5,
                   rule: str = "1se", seed: int = 0, fixed_lambda=None,
-                  tol: float = 1e-7, max_iter: int = 10000) -> SelectionFit:
+                  tol: float = 1e-7) -> SelectionFit:
     """Fit the full selection pipeline on a response-first data table.
 
     Steps: per-column summaries -> pseudo-data scores -> correlation matrix
@@ -641,12 +527,12 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
         grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
         cv = cross_validate(scores, wobj, grid, folds=folds, seed=seed, n=n,
-                            tol=tol, max_iter=max_iter)
+                            tol=tol)
         idx = cv.idx_1se if rule == "1se" else cv.idx_min
     else:
         grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
 
-    path = fit_path(R, wobj, grid, n, tol=tol, max_iter=max_iter)
+    path = fit_path(R, wobj, grid, n, tol=tol)
     b_std = path.coefficients[idx]
     converged = bool(path.converged[idx])
     beta, intercept = destandardize(b_std, summaries)

@@ -139,9 +139,9 @@ def soft_threshold(z: float, t: float) -> float:
 def cd_reference(gram, c, wv, lam, n, warm, tol, max_iter):
     """Cyclic coordinate descent over every admissible coordinate.
 
-    The package's solver before its active-set rewrite, kept as the
-    reference: soft-threshold updates until the largest coordinate change is
-    below `tol` and the KKT conditions hold within 10 * tol * n. Returns
+    The package's first solver, kept as the reference for the exact path:
+    soft-threshold updates until the largest coordinate change is below
+    `tol` and the KKT conditions hold within 10 * tol * n. Returns
     (solution, sweeps, converged).
     """
     gram = np.asarray(gram, dtype=float)

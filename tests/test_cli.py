@@ -54,6 +54,33 @@ class TestFit:
         beta = np.array([float(r.split(",")[1]) for r in rows])
         slopes, _ = ols_fit(X, y)
         assert np.allclose(beta, slopes, atol=1e-6)
+        # the sidecar keeps its keys but records no grid, rule or folds
+        meta = json.loads((out / "fit.json").read_text())
+        for key in ("folds", "n_lambda", "lambda_ratio", "rule",
+                    "lambda_min", "lambda_1se"):
+            assert meta[key] is None, key
+        assert meta["lambda"] == 0.0
+        report = (out / "fit_report.txt").read_text()
+        assert "rule:" not in report and "lambda: 0\n" in report
+        assert not (out / "cv_curve.csv").exists()
+        # a ridge kappa picked by CV does use the folds
+        out_cv = tmp_path / "kappa_cv"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out_cv), "--estimator", "pearson",
+                     "--weights", "ridge", "--kappa", "cv", "--folds", "4",
+                     "--lambda", "0"]) == 0
+        meta_cv = json.loads((out_cv / "fit.json").read_text())
+        assert meta_cv["folds"] == 4 and meta_cv["rule"] is None
+        assert meta_cv.keys() == meta.keys()
+
+    def test_one_fold_is_usage_error(self, tmp_path, capsys):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "o"
+        for extra in ([], ["--weights", "ridge", "--kappa", "cv"]):
+            assert main(["fit", "--input", str(path), "--response", "y",
+                         "--output-dir", str(out), "--folds", "1"] + extra) == 2
+            assert "folds must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reports_are_byte_identical(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=5)

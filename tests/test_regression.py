@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,6 @@ from gralasso.regression import (
     penalized_objective,
     screen_top_k,
     weighted_lasso_cd,
-    _cd_solve,
 )
 from gralasso.robust_stats import RobustSummary, normal_scores
 
@@ -180,6 +181,12 @@ class TestLambdaGrid:
         g2 = lambda_grid(np.eye(2), c, 2 * w, 10)
         assert g2[0] == pytest.approx(0.5 * g1[0])
 
+    def test_zero_raw_weight_is_rejected(self):
+        # a zero weight would put lambda_max at +inf
+        with pytest.raises(ValueError, match="weights must be positive"):
+            lambda_grid(np.eye(2), np.array([0.5, 0.3]), np.array([0.0, 1.0]),
+                        10)
+
     def test_all_infinite_weights(self):
         with pytest.raises(ValueError, match="no admissible predictors"):
             lambda_grid(np.eye(2), np.ones(2), np.full(2, np.inf), 10)
@@ -235,17 +242,6 @@ class TestCoordinateDescent:
             b = weighted_lasso_cd(gram, c, w, lam, 50)
             assert _kkt_holds(gram, c, w, lam, 50, b, 1e-7)
 
-    def test_objective_nonincreasing_over_sweeps(self):
-        rng = np.random.default_rng(26)
-        gram, c, w = _random_instance(rng, 5)
-        lam = 0.2 * np.max(2.0 * 30 * np.abs(c) / w)
-        prev = penalized_objective(gram, c, w, lam, 30, np.zeros(5))
-        for sweeps in range(1, 12):
-            b, _, _ = _cd_solve(gram, c, w, lam, 30, None, 0.0, sweeps)
-            val = penalized_objective(gram, c, w, lam, 30, b)
-            assert val <= prev + 1e-9 * (1 + abs(prev))
-            prev = val
-
     def test_objective_matches_naive(self):
         rng = np.random.default_rng(27)
         gram, c, w = _random_instance(rng, 4)
@@ -262,6 +258,11 @@ class TestCoordinateDescent:
         with pytest.raises(ValueError, match="dimension mismatch"):
             weighted_lasso_cd(np.eye(3), np.ones(2), np.ones(2), 0.1, 10)
 
+    def test_negative_raw_weight_is_rejected(self):
+        # a negative weight rewards |b_j|: the objective has no minimiser
+        with pytest.raises(ValueError, match="weights must be positive"):
+            weighted_lasso_cd(np.eye(2), [0.5, 0.3], [-1.0, 1.0], 1.0, 10)
+
 
 
 @st.composite
@@ -269,7 +270,7 @@ def _lasso_instances(draw):
     """Unit-diagonal PSD gram and c from `rows` draws of p + 1 variables
     (rank-deficient when rows <= p, optionally with a duplicated
     predictor), weights with some +inf, lambda in [0, lambda_max] and a warm
-    start that may carry wrong signs."""
+    start for the coordinate-descent reference that may carry wrong signs."""
     p = draw(st.integers(1, 30))
     rows = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -304,38 +305,45 @@ class TestActiveSetSolver:
     def test_certified_and_no_worse_than_coordinate_descent(self, inst):
         gram, c, w, lam, n, b0 = inst
         tol = 1e-7
-        b, _, converged = _cd_solve(gram, c, w, lam, n, b0, tol, 10000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an uncertified solve warns
+            b = weighted_lasso_cd(gram, c, w, lam, n, tol=tol)
         ref, _, _ = cd_reference(gram, c, w, lam, n, b0, tol, 10000)
-        assert converged
         assert _kkt_holds(gram, c, w, lam, n, b, tol)
         obj = penalized_objective_naive(gram, c, w, lam, n, b)
         ref_obj = penalized_objective_naive(gram, c, w, lam, n, ref)
         assert obj <= ref_obj + 1e-9 * (1 + abs(ref_obj))
 
     @pytest.mark.parametrize("gram, c, w, lam, warm", [
-        # identical predictors: every working set holding both is singular
+        # identical predictors: an active set holding both is singular
         ([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]],
          [0.6, 0.6, 0.2], [1.0, 1.0, 1.0], 1.0, None),
-        # sign-flipped copies, warm-started on both at a lambda so small
-        # that coordinate descent (`cd_reference`) is still uncertified
-        # after 10,000 sweeps
+        # sign-flipped copies at a lambda so small that coordinate descent
+        # (`cd_reference`) warm-started on both is still uncertified after
+        # 10,000 sweeps
         ([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0], [0.25, 4.0], 1e-5,
          [0.36, 1.3]),
     ])
     def test_singular_working_set_is_certified(self, gram, c, w, lam, warm):
         gram, c, w = (np.asarray(a, dtype=float) for a in (gram, c, w))
-        b, _, converged = _cd_solve(gram, c, w, lam, 40, warm, 1e-7, 10000)
-        assert converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = weighted_lasso_cd(gram, c, w, lam, 40, tol=1e-7)
         assert _kkt_holds(gram, c, w, lam, 40, b, 1e-7)
+        ref, _, _ = cd_reference(gram, c, w, lam, 40, warm, 1e-7, 10000)
+        ref_obj = penalized_objective_naive(gram, c, w, lam, 40, ref)
+        assert penalized_objective_naive(gram, c, w, lam, 40, b) <= \
+            ref_obj + 1e-9 * (1 + abs(ref_obj))
 
-    def test_well_conditioned_solve_takes_few_rounds(self):
-        rng = np.random.default_rng(32)
-        gram, c, w = _random_instance(rng, 8)
-        lam = 0.3 * np.max(2.0 * 50 * np.abs(c) / w)
-        b, rounds, converged = _cd_solve(gram, c, w, lam, 50, None, 1e-7, 10000)
-        _, sweeps, _ = cd_reference(gram, c, w, lam, 50, None, 1e-7, 10000)
-        assert converged
-        assert rounds < sweeps
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lasso_instances())
+    def test_whole_path_is_certified(self, inst):
+        gram, c, w, _, n, _ = inst
+        grid = lambda_grid(gram, c, w, n, n_lambda=20)
+        path = fit_path(_embed(gram, c), w, grid, n)
+        assert path.converged.all()
+        for lam, b in zip(grid, path.coefficients):
+            assert _kkt_holds(gram, c, w, lam, n, b, 1e-7)
 
 
 class TestFitPath:
@@ -359,6 +367,32 @@ class TestFitPath:
             expected = [soft_threshold(c[j], lam * w[j] / (2 * n))
                         for j in range(5)]
             assert np.allclose(path.coefficients[i], expected, atol=1e-10)
+
+    def test_orthogonal_design_piece_count(self):
+        # with G = I no coefficient ever leaves: the path has one piece above
+        # lambda_max and one more per join at 2n|c_j|/w_j
+        c = np.array([0.9, -0.6, 0.4, 0.2, -0.05])
+        w = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+        n = 50
+        for ratio in (1e-3, 0.5, 0.2):
+            grid = lambda_grid(np.eye(5), c, w, n, n_lambda=25, ratio=ratio)
+            path = fit_path(_embed(np.eye(5), c), w, grid, n)
+            joins = int(np.sum(2 * n * np.abs(c) / w >= grid[-1]))
+            assert path.iterations.sum() == 1 + joins
+
+    def test_tied_joins_all_enter(self):
+        # equal 2n|c_j|/w_j: after the first join the others sit on their
+        # kink within rounding, above or below the current lambda
+        c = np.array([0.5, -0.5, 0.25, 0.5])
+        w = np.array([1.0, 1.0, 0.5, 1.0])
+        n = 40
+        grid = lambda_grid(np.eye(4), c, w, n, n_lambda=10)
+        path = fit_path(_embed(np.eye(4), c), w, grid, n)
+        assert path.converged.all()
+        for i, lam in enumerate(grid):
+            expected = [soft_threshold(c[j], lam * w[j] / (2 * n))
+                        for j in range(4)]
+            assert np.allclose(path.coefficients[i], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_equals_cold(self, seed):
@@ -434,8 +468,7 @@ class TestCrossValidate:
         grid = lambda_grid(R.xx, R.xy, w, pseudo.shape[0], n_lambda=5)
         # zero slack: no solve can certify, whatever the solver does
         with pytest.warns(UserWarning, match="cross-validation") as record:
-            cross_validate(pseudo, w, grid, folds=5, seed=0, tol=0.0,
-                           max_iter=1)
+            cross_validate(pseudo, w, grid, folds=5, seed=0, tol=0.0)
         assert sum("cross-validation" in str(r.message) for r in record) == 1
 
     def test_scores_match_per_lambda_residuals(self):
