@@ -242,6 +242,21 @@ class TestCoordinateDescent:
             b = weighted_lasso_cd(gram, c, w, lam, 50)
             assert _kkt_holds(gram, c, w, lam, 50, b, 1e-7)
 
+    def test_objective_nonincreasing_over_sweeps(self):
+        # the reference descends monotonically and never below the exact path
+        rng = np.random.default_rng(26)
+        gram, c, w = _random_instance(rng, 5)
+        lam = 0.2 * np.max(2.0 * 30 * np.abs(c) / w)
+        prev = penalized_objective(gram, c, w, lam, 30, np.zeros(5))
+        for sweeps in range(1, 12):
+            b, _, _ = cd_reference(gram, c, w, lam, 30, None, 0.0, sweeps)
+            val = penalized_objective(gram, c, w, lam, 30, b)
+            assert val <= prev + 1e-9 * (1 + abs(prev))
+            prev = val
+        exact = weighted_lasso_cd(gram, c, w, lam, 30)
+        best = penalized_objective(gram, c, w, lam, 30, exact)
+        assert best <= prev + 1e-9 * (1 + abs(prev))
+
     def test_objective_matches_naive(self):
         rng = np.random.default_rng(27)
         gram, c, w = _random_instance(rng, 4)
@@ -344,6 +359,17 @@ class TestActiveSetSolver:
         assert path.converged.all()
         for lam, b in zip(grid, path.coefficients):
             assert _kkt_holds(gram, c, w, lam, n, b, 1e-7)
+
+    def test_well_conditioned_solve_takes_few_rounds(self):
+        # pieces of the exact path against sweeps of the reference
+        rng = np.random.default_rng(32)
+        gram, c, w = _random_instance(rng, 8)
+        lam = 0.3 * np.max(2.0 * 50 * np.abs(c) / w)
+        path = fit_path(_embed(gram, c), w, np.array([lam]), 50, tol=1e-7)
+        _, sweeps, _ = cd_reference(gram, c, w, lam, 50, None, 1e-7, 10000)
+        assert path.converged[0]
+        assert _kkt_holds(gram, c, w, lam, 50, path.coefficients[0], 1e-7)
+        assert path.iterations[0] < sweeps
 
 
 class TestFitPath:
