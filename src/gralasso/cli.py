@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import assemble_covariance
-from .data import DataMatrix, format_float as _FMT
+from .data import DataMatrix, format_float as _FMT, write_csv
 from .regression import fit_gr_alasso, marginal_gr_correlations, screen_top_k
 from .simulation import (
     SimDesign,
@@ -150,13 +150,6 @@ def build_parser():
     return parser
 
 
-def _write_matrix_csv(path, matrix, columns):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in matrix:
-            fh.write(",".join(_FMT(v) for v in row) + "\n")
-
-
 def cmd_fit(args) -> int:
     outdir = args.output_dir
     Z = DataMatrix.from_csv(args.input, args.response)
@@ -171,20 +164,15 @@ def cmd_fit(args) -> int:
     folds_used = cv or (args.kappa == "cv"
                         and fit.weights.source.startswith("ridge"))
 
-    coef_path = os.path.join(_ensure_outdir(outdir), "coefficients.csv")
-    with open(coef_path, "w", encoding="utf-8") as fh:
-        fh.write("variable,coefficient,selected\n")
-        for j, name in enumerate(Z.predictor_names):
-            fh.write(f"{name},{_FMT(fit.beta[j])},"
-                     f"{int(j in set(fit.support))}\n")
+    write_csv(os.path.join(_ensure_outdir(outdir), "coefficients.csv"),
+              ("variable", "coefficient", "selected"),
+              ((name, fit.beta[j], int(j in fit.support))
+               for j, name in enumerate(Z.predictor_names)))
 
     if cv:
-        with open(os.path.join(outdir, "cv_curve.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("lambda,mean_error,se_error\n")
-            for lam, m, s in zip(fit.cv.lambdas, fit.cv.mean_errors,
-                                 fit.cv.se_errors):
-                fh.write(f"{_FMT(lam)},{_FMT(m)},{_FMT(s)}\n")
+        write_csv(os.path.join(outdir, "cv_curve.csv"),
+                  ("lambda", "mean_error", "se_error"),
+                  zip(fit.cv.lambdas, fit.cv.mean_errors, fit.cv.se_errors))
 
     meta = {
         "version": __version__,
@@ -236,12 +224,12 @@ def cmd_fit(args) -> int:
             fh.write(f"  {name}: {_FMT(summ.location)}, {_FMT(summ.scale)}\n")
 
     if args.export_correlation:
-        _write_matrix_csv(os.path.join(outdir, "correlation.csv"),
-                          fit.correlation.matrix, Z.columns)
+        write_csv(os.path.join(outdir, "correlation.csv"), Z.columns,
+                  fit.correlation.matrix)
     if args.export_covariance:
         cov = assemble_covariance(fit.correlation, fit.summaries)
-        _write_matrix_csv(os.path.join(outdir, "covariance.csv"),
-                          cov.sigma, Z.columns)
+        write_csv(os.path.join(outdir, "covariance.csv"), Z.columns,
+                  cov.sigma)
 
     print(f"fit written to {outdir} "
           f"(selected {len(fit.support)} of {Z.p} predictors)")
@@ -256,10 +244,9 @@ def cmd_screen(args) -> int:
     # response and the chosen columns gives the same numbers
     corr = marginal_gr_correlations(Z.values[:, np.r_[0, idx + 1]])
     path = os.path.join(_ensure_outdir(args.output_dir), "screen.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,variable,gr_correlation\n")
-        for rank, (j, r) in enumerate(zip(idx, corr), start=1):
-            fh.write(f"{rank},{Z.predictor_names[j]},{_FMT(r)}\n")
+    write_csv(path, ("rank", "variable", "gr_correlation"),
+              ((rank, Z.predictor_names[j], r)
+               for rank, (j, r) in enumerate(zip(idx, corr), start=1)))
     print(f"screen written to {path} (top {k} of {Z.p} predictors)")
     return 0
 
@@ -273,10 +260,9 @@ def cmd_simulate(args) -> int:
     train.to_csv(os.path.join(outdir, "train.csv"))
     DataMatrix.from_arrays(y_test, X_test).to_csv(
         os.path.join(outdir, "test.csv"))
-    with open(os.path.join(outdir, "mask.csv"), "w", encoding="utf-8") as fh:
-        fh.write("row,column\n")
-        for i, j in np.argwhere(mask):
-            fh.write(f"{i + 1},{train.predictor_names[j]}\n")
+    write_csv(os.path.join(outdir, "mask.csv"), ("row", "column"),
+              ((i + 1, train.predictor_names[j])
+               for i, j in np.argwhere(mask)))
     truth = {
         "version": __version__,
         "seed": args.seed,

@@ -12,12 +12,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DataMatrix", "as_table", "format_float"]
+__all__ = ["DataMatrix", "as_table", "format_float", "write_csv"]
 
 
 def format_float(value) -> str:
     """17 significant digits, which round-trip any IEEE double exactly."""
     return "{:.17g}".format(value)
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format_float(float(value))
+
+
+def write_csv(path, fields, rows, metadata=None):
+    """LF-terminated CSV of strings, integers and floats, after '# key=value'
+    metadata lines; a cell is quoted only where CSV needs it (`a,b`)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
 2000; Efron et al. 2004). The solver traces that path exactly from
 lambda = +inf: one linear solve on the active set per piece, the next kink
 where a coefficient reaches zero or an inactive gradient reaches its
-penalty, and every grid point read off its piece in closed form under a
-vectorised KKT certificate. Cross-validation folds, the final path and a
-fixed lambda all run through the same path.
+penalty, every grid point written off its piece in closed form, and one KKT
+certificate pass over the whole path. Cross-validation folds, the final
+path and a fixed lambda all run through the same path.
 """
 
 import warnings
@@ -218,14 +218,17 @@ def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
     return np.geomspace(lam_max, lam_max * ratio, n_lambda)
 
 
-def _kkt(gram, c, lamw, finite, slack, n, b):
-    """KKT certificate for b within `slack`; +inf weights are pinned at zero
-    and skipped."""
-    grad = 2.0 * n * (gram @ b - c)
-    nz = finite & (b != 0.0)
-    viol = finite & (b == 0.0) & (np.abs(grad) > lamw + slack)
-    return not viol.any() and bool(
-        (np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack).all())
+def _kkt(gram, c, grid, wv, slack, n, coefs):
+    """KKT certificate of each row of `coefs` at its grid lambda within
+    `slack`; +inf weights are pinned at zero and skipped."""
+    finite = np.isfinite(wv)
+    # a stack of matrix-vector products rounds each row as `gram @ b` does;
+    # `coefs @ gram` sums in another order and moves rounding-level flags
+    grad = 2.0 * n * ((gram @ coefs[:, :, None])[:, :, 0] - c)
+    lamw = grid[:, None] * np.where(finite, wv, 0.0)
+    ok = np.where(coefs == 0.0, ~(np.abs(grad) > lamw + slack),
+                  np.abs(grad + lamw * np.sign(coefs)) <= slack)
+    return (ok | ~finite).all(axis=1)
 
 
 def _solve_path(gram, c, wv, grid, n, tol):
@@ -240,9 +243,9 @@ def _solve_path(gram, c, wv, grid, n, tol):
     0), with a = 2n(c - G_:A u) and d = 2n G_:A v; k leaves or j joins A.
     Joins with |a_j| <= 10 tol n are skipped: the piece already certifies j
     at every lower lambda, and such rounding-level joins would make G_AA
-    singular on rank-deficient or duplicated predictors. Each grid point is
-    read off its piece and KKT checked; `pieces[i]` counts the pieces
-    started since grid point i - 1.
+    singular on rank-deficient or duplicated predictors. Each piece writes
+    all of its grid points at once, and one KKT pass certifies the whole
+    path; `pieces[i]` counts the pieces started since grid point i - 1.
     """
     finite = np.isfinite(wv)
     if (np.diagonal(gram)[finite] <= 0.0).any():
@@ -250,7 +253,6 @@ def _solve_path(gram, c, wv, grid, n, tol):
     slack = 10.0 * tol * n
     coefs = np.zeros((grid.size, c.size))
     pieces = np.zeros(grid.size, dtype=int)
-    conv = np.zeros(grid.size, dtype=bool)
     sign = np.zeros(c.size)  # active coordinates carry their sign, others 0
     lam, i = np.inf, 0
     while i < grid.size:
@@ -276,17 +278,14 @@ def _solve_path(gram, c, wv, grid, n, tol):
         lams[join] = np.minimum(lams[join], lam)
         lams[(lams < 0.0) | (~join & (lams >= lam))] = 0.0
         lam = lams.max(initial=0.0)
-        while i < grid.size and grid[i] >= lam:
-            coefs[i, active] = u - grid[i] * v
-            lamw = np.full(c.size, np.inf)
-            lamw[finite] = grid[i] * wv[finite]
-            conv[i] = _kkt(gram, c, lamw, finite, slack, n, coefs[i])
-            i += 1
+        end = i + int(np.count_nonzero(grid[i:] >= lam))
+        coefs[i:end, active] = u - grid[i:end, None] * v
+        i = end
         if i < grid.size:
             # a grid point is left below lam > 0, so a kink ends this piece
             k = int(np.argmax(lams))
             sign[who[k]] = how[k]
-    return coefs, pieces, conv
+    return coefs, pieces, _kkt(gram, c, grid, wv, slack, n, coefs)
 
 
 def weighted_lasso_cd(gram, c, w, lam: float, n: int,
@@ -354,7 +353,9 @@ def _cv_folds(values, folds, seed):
         raise ValueError("need at least as many rows as folds")
     perm = np.random.default_rng(seed).permutation(values.shape[0])
     for block in np.array_split(perm, folds):
-        corr = _pearson_of_values(values[np.setdiff1d(perm, block)])
+        keep = np.ones(values.shape[0], dtype=bool)
+        keep[block] = False
+        corr = _pearson_of_values(values[keep])
         yield corr[1:, 1:], corr[1:, 0], values[block, 0], values[block, 1:]
 
 

@@ -171,22 +171,33 @@ def _qn_cut(xs, lo, hi, t, strict):
     return cut
 
 
-def ranks(x, ties: str = "midrank") -> np.ndarray:
-    """Ranks in 1..n. Tied values share their mid-rank average under the
-    default policy; "ordinal" assigns distinct ranks in input order."""
-    arr = _as_sample(x)
-    n = arr.size
-    if ties == "ordinal":
-        out = np.empty(n, dtype=float)
-        out[np.argsort(arr, kind="stable")] = np.arange(1, n + 1)
-        return out
-    if ties != "midrank":
-        raise ValueError(f"unknown tie policy {ties!r}")
-    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    midranks = 0.5 * (starts + 1 + ends)
-    return midranks[inverse]
+def ranks(x) -> np.ndarray:
+    """Ranks in 1..n; tied values share their mid-rank average."""
+    return _midranks(_as_sample(x)[:, None])[:, 0]
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """Mid-ranks of each column of a float table, in its memory layout: one
+    argsort of the transposed rows, then running maxima and reversed running
+    minima carry each tie block's start a + 1 and end b to all its entries,
+    for the exact mid-rank 0.5 (a + 1 + b)."""
+    n, m = values.shape
+    cols = np.ascontiguousarray(values.T)
+    order = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    start = np.ones((m, n), dtype=bool)
+    np.not_equal(cols[:, 1:], cols[:, :-1], out=start[:, 1:])
+    end = np.roll(start, -1, axis=1)  # start[:, 0] is True: rows end blocks
+    pos = np.arange(1.0, n + 1)
+    lo = np.multiply(start, pos, out=cols)
+    np.maximum.accumulate(lo, axis=1, out=lo)
+    hi = np.where(end, pos, float(n))
+    np.minimum.accumulate(hi[:, ::-1], axis=1, out=hi[:, ::-1])
+    lo += hi
+    lo *= 0.5
+    out = np.empty_like(values)
+    np.put_along_axis(out.T, order, lo, axis=1)
+    return out
 
 
 def normal_scores(x) -> np.ndarray:

@@ -6,13 +6,14 @@ by a stable 64-bit mix of (rate, magnitude, replicate), so adding grid cells
 never perturbs existing ones and replicates can be reproduced in isolation.
 """
 
+import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import DataMatrix, format_float
+from .data import DataMatrix, write_csv
 from .regression import fit_gr_alasso
 from .robust_stats import robust_summary
 
@@ -339,64 +340,37 @@ def aggregate_records(records):
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value))
-
-
-def _write_csv(path, fields, rows, metadata):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
 def write_records_csv(path, records, metadata=None):
     """Raw benchmark records with '# key=value' metadata comment lines."""
-    _write_csv(path, RECORD_FIELDS, ([getattr(rec, f) for f in RECORD_FIELDS]
-                                     for rec in records), metadata)
+    write_csv(path, RECORD_FIELDS, ([getattr(rec, f) for f in RECORD_FIELDS]
+                                    for rec in records), metadata)
 
 
 def read_records_csv(path):
-    """Read a records CSV (own output or an external method's results)."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != RECORD_FIELDS:
-                    raise ValueError(
-                        f"unexpected records header {header!r}; "
-                        f"expected {','.join(RECORD_FIELDS)}"
-                    )
-                continue
-            cells = line.split(",")
-            if len(cells) != len(RECORD_FIELDS):
-                raise ValueError(f"malformed record line: {line!r}")
-            records.append(BenchmarkRecord(
-                e=float(cells[0]), gamma=float(cells[1]),
-                replicate=int(cells[2]), method=cells[3],
-                tpr=float(cells[4]), fpr=float(cells[5]),
-                mse_beta=float(cells[6]), mspe=float(cells[7]),
-                runtime_ms=float(cells[8]), status=cells[9]))
-    if header is None:
+    """Read a records CSV (own output or an external method's results),
+    skipping blank and '#' metadata lines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(
+            line for line in fh
+            if line.strip() and not line.lstrip().startswith("#"))]
+    if not rows:
         raise ValueError("empty records file")
+    if tuple(rows[0]) != RECORD_FIELDS:
+        raise ValueError(f"unexpected records header {rows[0]!r}; "
+                         f"expected {','.join(RECORD_FIELDS)}")
+    records = []
+    for cells in rows[1:]:
+        if len(cells) != len(RECORD_FIELDS):
+            raise ValueError(f"malformed record line: {','.join(cells)!r}")
+        records.append(BenchmarkRecord(*(f.type(cell) for f, cell in
+                                         zip(fields(BenchmarkRecord), cells))))
     return records
 
 
 def write_aggregate_csv(path, rows, metadata=None):
     """Aggregate CSV; contains no timings, so reruns are byte-identical."""
-    _write_csv(path, AGGREGATE_FIELDS,
-               ([row[f] for f in AGGREGATE_FIELDS] for row in rows), metadata)
+    write_csv(path, AGGREGATE_FIELDS,
+              ([row[f] for f in AGGREGATE_FIELDS] for row in rows), metadata)
 
 
 def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,

@@ -177,3 +177,57 @@ def cd_reference(gram, c, wv, lam, n, warm, tol, max_iter):
                     and np.all(np.abs(grad[zz]) <= lamw[zz] + slack)):
                 return b, sweep, True
     return b, max_iter, False
+
+
+def midranks_by_unique(x) -> np.ndarray:
+    """Mid-ranks of one column from its sorted distinct values and counts."""
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return (0.5 * (starts + 1 + ends))[inverse]
+
+
+def score_matrix_by_column(values, names, kind, quantile):
+    """The per-column pseudo-data loop that `covariance.score_matrix`
+    replaced, with the normal quantile function passed in: the reference
+    for the whole-table scores, which must match it bit for bit."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        if kind in ("gaussian-rank", "spearman") and np.all(col == col[0]):
+            raise ValueError(f"degenerate column {names[j]!r}: all values tied")
+        if kind == "gaussian-rank":
+            out[:, j] = quantile(midranks_by_unique(col) / (n + 1))
+        elif kind == "spearman":
+            out[:, j] = midranks_by_unique(col) - 0.5 * (n + 1)
+        elif kind == "pearson":
+            sd = float(np.std(col, ddof=1)) if n > 1 else 0.0
+            if sd <= 0.0:
+                raise ValueError(f"zero-variance column {names[j]!r}")
+            out[:, j] = (col - np.mean(col)) / sd
+        else:
+            raise ValueError(f"unknown score kind {kind!r}")
+    return out
+
+
+def kkt_by_point(gram, c, grid, wv, slack, n, coefs) -> np.ndarray:
+    """The per-grid-point KKT certificate that `regression._kkt` replaced:
+    one gradient per row of `coefs` at its grid lambda, +inf weights pinned
+    at zero and skipped."""
+    gram = np.asarray(gram, dtype=float)
+    c = np.asarray(c, dtype=float)
+    wv = np.asarray(wv, dtype=float)
+    finite = np.isfinite(wv)
+    flags = np.zeros(len(grid), dtype=bool)
+    for i, b in enumerate(coefs):
+        lamw = np.full(c.size, np.inf)
+        lamw[finite] = grid[i] * wv[finite]
+        grad = 2.0 * n * (gram @ b - c)
+        nz = finite & (b != 0.0)
+        viol = finite & (b == 0.0) & (np.abs(grad) > lamw + slack)
+        flags[i] = not viol.any() and bool(
+            (np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack).all())
+    return flags

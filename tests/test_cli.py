@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -106,6 +107,34 @@ class TestFit:
         assert np.allclose(corr, corr.T)
         cov_lines = (out / "covariance.csv").read_text().splitlines()
         assert cov_lines[0] == "y,x1,x2,x3"
+
+    def test_comma_in_a_column_name_round_trips(self, tmp_path):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((40, 3))
+        y = 1.5 * X[:, 0] + 0.3 * rng.standard_normal(40)
+        path = tmp_path / "data.csv"
+        DataMatrix.from_arrays(y, X, ("a,b", "x2", "x3")).to_csv(path)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out), "--export-correlation",
+                     "--export-covariance"]) == 0
+        assert main(["screen", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out), "--screen-k", "3"]) == 0
+
+        def rows(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+
+        coefs = rows("coefficients.csv")
+        assert [len(r) for r in coefs] == [3] * 4
+        assert [r[0] for r in coefs[1:]] == ["a,b", "x2", "x3"]
+        screen = rows("screen.csv")
+        assert [len(r) for r in screen] == [3] * 4
+        assert "a,b" in [r[1] for r in screen[1:]]
+        for name in ("correlation.csv", "covariance.csv"):
+            matrix = rows(name)
+            assert matrix[0] == ["y", "a,b", "x2", "x3"]
+            assert [len(r) for r in matrix] == [4] * 5
 
     def test_unknown_response_is_usage_error(self, tmp_path, capsys):
         path, _, _ = _fixture_csv(tmp_path)

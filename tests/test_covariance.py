@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gralasso.covariance import (
     CorrelationMatrix,
@@ -11,9 +12,9 @@ from gralasso.covariance import (
     sqrt_factorize,
 )
 from gralasso.data import DataMatrix
-from gralasso.robust_stats import RobustSummary
+from gralasso.robust_stats import RobustSummary, std_normal_quantile
 
-from oracles import naive_midranks, pearson_scalar
+from oracles import naive_midranks, pearson_scalar, score_matrix_by_column
 
 
 def _table(*cols, names=None):
@@ -252,3 +253,46 @@ class TestScoreMatrix:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="score kind"):
             score_matrix(np.ones((3, 2)), "kendall")
+
+
+@st.composite
+def _score_tables(draw):
+    """n x m tables, n in 2..300, whose columns are continuous, rounded to
+    0-3 decimals, heavily tied (three values) or constant, in C or Fortran
+    memory order."""
+    n = draw(st.integers(2, 300))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(m):
+        x = rng.standard_normal(n) * 10.0
+        style = draw(st.sampled_from(["continuous", "rounded", "tied",
+                                      "constant"]))
+        if style == "rounded":
+            x = np.round(x, draw(st.integers(0, 3)))
+        elif style == "tied":
+            x = rng.integers(0, 3, n).astype(float)
+        elif style == "constant":
+            x = np.full(n, x[0])
+        cols.append(x)
+    values = np.column_stack(cols)
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
+class TestWholeTableScores:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_score_tables())
+    def test_matches_the_per_column_loop(self, values):
+        names = tuple(f"col{j}" for j in range(values.shape[1]))
+        for kind in ("gaussian-rank", "spearman", "pearson"):
+            try:
+                ref = score_matrix_by_column(values, names, kind,
+                                             std_normal_quantile)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    score_matrix(values, kind)
+                assert str(err.value) == str(exc)
+                continue
+            out = score_matrix(values, kind)
+            assert np.array_equal(out, ref)
+            assert out.strides == ref.strides

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gralasso import regression
 from gralasso.covariance import (
     CorrelationMatrix,
     _pearson_of_values,
@@ -33,6 +34,7 @@ from gralasso.robust_stats import RobustSummary, normal_scores
 from oracles import (
     cd_reference,
     grid_minimize,
+    kkt_by_point,
     ols_fit,
     penalized_objective_naive,
     soft_threshold,
@@ -359,6 +361,17 @@ class TestActiveSetSolver:
         assert path.converged.all()
         for lam, b in zip(grid, path.coefficients):
             assert _kkt_holds(gram, c, w, lam, n, b, 1e-7)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lasso_instances())
+    def test_path_certificate_matches_the_per_point_check(self, inst):
+        gram, c, w, _, n, _ = inst
+        grid = lambda_grid(gram, c, w, n, n_lambda=20)
+        # with tol = 0 most points with an active coefficient fail
+        for tol in (1e-7, 0.0):
+            coefs, _, flags = regression._solve_path(gram, c, w, grid, n, tol)
+            assert np.array_equal(
+                flags, kkt_by_point(gram, c, grid, w, 10.0 * tol * n, n, coefs))
 
     def test_well_conditioned_solve_takes_few_rounds(self):
         # pieces of the exact path against sweeps of the reference

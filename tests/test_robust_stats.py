@@ -158,13 +158,6 @@ class TestRanks:
         n = 17
         assert np.array_equal(ranks(np.arange(n)), np.arange(1, n + 1))
 
-    def test_ordinal_policy(self):
-        assert np.array_equal(ranks([5, 5, 1], ties="ordinal"), [2, 3, 1])
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="tie policy"):
-            ranks([1, 2], ties="dense")
-
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_counting_oracle_and_sum(self, seed):
         rng = np.random.default_rng(300 + seed)

@@ -6,6 +6,7 @@ import pytest
 
 from gralasso.data import DataMatrix
 from gralasso.simulation import (
+    RECORD_FIELDS,
     BenchmarkRecord,
     ContaminationSpec,
     SimDesign,
@@ -340,6 +341,19 @@ class TestRecordCsv:
         merged = aggregate_records(self._records() + read_records_csv(path))
         methods = {row["method"] for row in merged}
         assert methods == {"gr-alasso", "mm-alasso"}
+
+    def test_quoted_cell_round_trips(self, tmp_path):
+        path = tmp_path / "external.csv"
+        ext = [BenchmarkRecord(0.05, 10.0, 0, "mm-alasso, tuned", 0.9, 0.05,
+                               0.1, 2.0, 100.0, "ok")]
+        write_records_csv(path, ext, {"seed": 1})
+        assert read_records_csv(path) == ext
+
+    def test_short_row_is_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n0.05,10,0,x\n")
+        with pytest.raises(ValueError, match="malformed record line"):
+            read_records_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
