@@ -232,21 +232,31 @@ def _kkt(gram, c, grid, wv, slack, n, coefs):
 
 
 def _solve_path(gram, c, wv, grid, n, tol):
-    """Exact homotopy down a descending grid: (coefficients, pieces,
-    certified), one row or entry per lambda.
+    """Exact homotopy down a lambda grid: (coefficients, pieces, certified),
+    one row or entry per lambda.
 
-    From lambda = +inf and an empty active set A, each piece solves
-    G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda v with the
-    active signs s. It ends at the largest lambda below the current one
-    where an active b_k reaches zero moving toward it (s_k v_k < 0), or an
-    inactive |a_j + lambda d_j| reaches lambda w_j from below (w_j -+ d_j >
-    0), with a = 2n(c - G_:A u) and d = 2n G_:A v; k leaves or j joins A.
-    Joins with |a_j| <= 10 tol n are skipped: the piece already certifies j
-    at every lower lambda, and such rounding-level joins would make G_AA
-    singular on rank-deficient or duplicated predictors. Each piece writes
-    all of its grid points at once, and one KKT pass certifies the whole
-    path; `pieces[i]` counts the pieces started since grid point i - 1.
+    The grid must be finite, nonnegative and strictly descending; any other
+    raises ValueError. From lambda = +inf and an empty active set A, each
+    piece solves G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda
+    v with the active signs s, a = 2n(c - G_:A u) and d = 2n G_:A v. Every
+    coordinate has at most one next kink below the current lambda: an active
+    k reaches zero at u_k / v_k when it moves toward it (s_k v_k < 0), kept
+    only if strictly below lambda; an inactive j can only join on the side
+    s_j = sign(a_j), where |a_j + lambda d_j| reaches lambda w_j at
+    |a_j| / (w_j - s_j d_j) (w_j - s_j d_j > 0), clipped to lambda (a join at
+    or above it is a tie within rounding and happens at once). The largest
+    kink ends the piece, and its coordinate leaves A or joins it with sign
+    s_j; exact ties go to the lowest coordinate index. Joins with |a_j| <=
+    10 tol n are skipped: the piece already certifies j at every lower
+    lambda, and such rounding-level joins would make G_AA singular on
+    rank-deficient or duplicated predictors. Each piece writes all of its
+    grid points at once, and one KKT pass certifies the whole path;
+    `pieces[i]` counts the pieces started since grid point i - 1.
     """
+    if not (np.isfinite(grid).all() and (grid >= 0.0).all()
+            and (np.diff(grid) < 0.0).all()):
+        raise ValueError("lambda grid must be finite, nonnegative and "
+                         "strictly descending")
     finite = np.isfinite(wv)
     if (np.diagonal(gram)[finite] <= 0.0).any():
         raise ValueError("degenerate predictor variance")
@@ -255,7 +265,8 @@ def _solve_path(gram, c, wv, grid, n, tol):
     pieces = np.zeros(grid.size, dtype=int)
     sign = np.zeros(c.size)  # active coordinates carry their sign, others 0
     lam, i = np.inf, 0
-    while i < grid.size:
+    # with no predictors every grid point holds the empty solution
+    while i < grid.size and c.size:
         pieces[i] += 1
         active = np.flatnonzero(sign)
         s_a = sign[active]
@@ -264,42 +275,36 @@ def _solve_path(gram, c, wv, grid, n, tol):
         u, v = uv[:, 0], uv[:, 1]
         ad = 2.0 * n * (gram[:, active] @ uv)
         a, d = 2.0 * n * c - ad[:, 0], ad[:, 1]
-        # kinks below lam: (lambda, coordinate, its new sign; 0 leaves)
+        kink = np.zeros(c.size)  # 0: no kink of this coordinate below lam
         leave = s_a * v < 0.0
-        kinks = [(u[leave] / v[leave], active[leave], np.zeros(leave.sum()))]
-        out = finite & (sign == 0.0) & (np.abs(a) > slack)
-        for s in (1.0, -1.0):
-            j = np.flatnonzero(out & (wv - s * d > 0.0))
-            kinks.append((s * a[j] / (wv[j] - s * d[j]), j, np.full(j.size, s)))
-        lams, who, how = (np.concatenate(t) for t in zip(*kinks))
-        # a join at or above lam is a tie within rounding and happens at once;
-        # a leave must come strictly below lam
-        join = how != 0.0
-        lams[join] = np.minimum(lams[join], lam)
-        lams[(lams < 0.0) | (~join & (lams >= lam))] = 0.0
-        lam = lams.max(initial=0.0)
+        kink[active[leave]] = u[leave] / v[leave]
+        kink[(kink < 0.0) | (kink >= lam)] = 0.0
+        s = np.sign(a)
+        room = wv - s * d
+        join = np.flatnonzero(finite & (sign == 0.0) & (np.abs(a) > slack)
+                              & (room > 0.0))
+        kink[join] = np.minimum(np.abs(a[join]) / room[join], lam)
+        k = int(np.argmax(kink))
+        lam = kink[k]
         end = i + int(np.count_nonzero(grid[i:] >= lam))
         coefs[i:end, active] = u - grid[i:end, None] * v
         i = end
-        if i < grid.size:
-            # a grid point is left below lam > 0, so a kink ends this piece
-            k = int(np.argmax(lams))
-            sign[who[k]] = how[k]
+        # k leaves or joins; once no grid point is left the change goes unused
+        sign[k] = 0.0 if sign[k] else s[k]
     return coefs, pieces, _kkt(gram, c, grid, wv, slack, n, coefs)
 
 
 def weighted_lasso_cd(gram, c, w, lam: float, n: int,
                       tol: float = 1e-7) -> np.ndarray:
-    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j|: the exact path
-    (`_solve_path`) traced from lambda_max down to `lam`, with a KKT
-    certificate within 10 * tol * n; an uncertified solution warns."""
+    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j| for a finite,
+    nonnegative `lam`: the exact path (`_solve_path`) traced from lambda_max
+    down to `lam`, with a KKT certificate within 10 * tol * n; an
+    uncertified solution warns."""
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(c, dtype=float)
     wv = _weight_vector(w)
     if gram.shape != (c.size, c.size) or wv.size != c.size:
         raise ValueError("dimension mismatch between gram, c and weights")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     b, pieces, ok = _solve_path(gram, c, wv, np.array([float(lam)]), n, tol)
     if not ok[0]:
         warnings.warn(f"the lasso path stopped after {pieces[0]} pieces "
@@ -325,8 +330,6 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
     CovarianceModel).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size > 1 and np.any(np.diff(grid) >= 0):
-        raise ValueError("lambda grid must be strictly descending")
     coefs, pieces, conv = _solve_path(
         np.asarray(cov.xx, dtype=float), np.asarray(cov.xy, dtype=float),
         _weight_vector(w), grid, n, tol)
@@ -452,16 +455,18 @@ def screen_top_k(Z, k: int) -> np.ndarray:
     return order[:k]
 
 
-def _ridge_kappa_by_cv(values, folds, seed, kappas=None):
-    """Pick the ridge penalty for the initial estimate by pseudo-data CV."""
-    if kappas is None:
-        kappas = np.logspace(-3.0, 1.0, 9)
+_RIDGE_KAPPAS = np.logspace(-3.0, 1.0, 9)
+
+
+def _ridge_kappa_by_cv(values, folds, seed):
+    """Pick the ridge penalty for the initial estimate from `_RIDGE_KAPPAS`
+    by pseudo-data CV."""
     eye = np.eye(values.shape[1] - 1)
     errs = [[np.mean((held_y - held_x @ np.linalg.solve(gram + kap * eye,
                                                           cvec)) ** 2)
-             for kap in kappas]
+             for kap in _RIDGE_KAPPAS]
             for gram, cvec, held_y, held_x in _cv_folds(values, folds, seed)]
-    return float(kappas[int(np.argmin(np.mean(errs, axis=0)))])
+    return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=0)))])
 
 
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
@@ -534,12 +539,9 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
 
     path = fit_path(R, wobj, grid, n, tol=tol)
-    b_std = path.coefficients[idx]
-    converged = bool(path.converged[idx])
-    beta, intercept = destandardize(b_std, summaries)
-    support = tuple(int(j) for j in np.flatnonzero(b_std != 0.0))
-    return SelectionFit(beta=beta, intercept=intercept, support=support,
-                        lambda_=float(grid[idx]), path=path, cv=cv,
-                        summaries=tuple(summaries), columns=Z.columns,
-                        estimator=kind, weights=wobj, converged=converged,
-                        correlation=R)
+    beta, intercept = destandardize(path.coefficients[idx], summaries)
+    return SelectionFit(beta=beta, intercept=intercept,
+                        support=path.supports[idx], lambda_=float(grid[idx]),
+                        path=path, cv=cv, summaries=tuple(summaries),
+                        columns=Z.columns, estimator=kind, weights=wobj,
+                        converged=bool(path.converged[idx]), correlation=R)

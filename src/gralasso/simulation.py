@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import DataMatrix, write_csv
-from .regression import fit_gr_alasso
-from .robust_stats import robust_summary
+from .regression import column_summaries, fit_gr_alasso
 
 __all__ = [
     "SimDesign",
@@ -237,11 +236,10 @@ def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
 
 
 def _replicate_records(task):
-    (design, e, gamma, r, methods, seed0, n_test, contaminate_test,
-     fit_kwargs) = task
+    design, e, gamma, r, methods, seed0, contaminate_test, fit_kwargs = task
     rs = cell_seed(seed0, e, gamma, r)
-    train, _, X_test, y_test = replicate_data(design, e, gamma, rs, n_test,
-                                              contaminate_test)
+    train, _, X_test, y_test = replicate_data(
+        design, e, gamma, rs, contaminate_test=contaminate_test)
     seed_cv = mix_seed(rs, 7)
     records = []
     for method in methods:
@@ -264,15 +262,15 @@ def _replicate_records(task):
 
 
 def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
-             methods=("gr-alasso",), seed0: int = 0, n_test=None,
+             methods=("gr-alasso",), seed0: int = 0,
              contaminate_test: bool = False, threads: int = 1,
              fit_kwargs=None):
     """Replicated benchmark over the (rate, magnitude) grid.
 
     Each replicate regenerates the whole dataset (train, contamination and
-    an independent clean test set of `n_test` rows, default n) from seeds
-    derived via `cell_seed`. Prediction error is scored on clean test data
-    unless `contaminate_test` is set. Per-replicate failures are recorded
+    an independent clean test set of n rows) from seeds derived via
+    `cell_seed`. Prediction error is scored on clean test data unless
+    `contaminate_test` is set. Per-replicate failures are recorded
     with a failure status instead of aborting the grid. Records come back
     sorted by (e, gamma, replicate, method) regardless of `threads`.
     Distinct cells that `cell_seed` would give the same seeds are rejected.
@@ -295,7 +293,7 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
                              "would share replicate seeds")
     fit_kwargs = dict(fit_kwargs or {})
-    tasks = [(design, float(e), float(g), r, methods, seed0, n_test,
+    tasks = [(design, float(e), float(g), r, methods, seed0,
               contaminate_test, fit_kwargs)
              for e in e_list for g in gamma_list for r in range(replicates)]
     if threads > 1:
@@ -387,15 +385,11 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     """
     fit_kwargs = dict(fit_kwargs or {})
     fit_kwargs.setdefault("estimator", "gr")
-    X = Z.X
     y = Z.y
-    summaries = [robust_summary(X[:, j]) for j in range(Z.p)]
+    summaries = column_summaries(Z)[1:]
     med = np.array([s.location for s in summaries])
     scale = np.array([s.scale for s in summaries])
-    if np.any(scale <= 0.0):
-        j = int(np.flatnonzero(scale <= 0.0)[0])
-        raise ValueError(f"zero scale for column {Z.predictor_names[j]!r}")
-    Xs = (X - med) / scale
+    Xs = (Z.X - med) / scale
     names = tuple(Z.predictor_names) + tuple(
         f"noise{k + 1}" for k in range(n_redundant)
     )

@@ -231,3 +231,48 @@ def kkt_by_point(gram, c, grid, wv, slack, n, coefs) -> np.ndarray:
         flags[i] = not viol.any() and bool(
             (np.abs(grad[nz] + lamw[nz] * np.sign(b[nz])) <= slack).all())
     return flags
+
+
+def solve_path_reference(gram, c, wv, grid, n, tol):
+    """The exact homotopy that `regression._solve_path` replaced, kept as
+    the reference for its kernel: each piece gathers the candidate kinks
+    below the current lambda as three lists (leaves, joins on the + side,
+    joins on the - side) and takes the first largest, so exact ties go to
+    leaves, then + joins, then - joins. Returns (coefficients, pieces,
+    certified) for a nonnegative, strictly descending grid."""
+    gram = np.asarray(gram, dtype=float)
+    c = np.asarray(c, dtype=float)
+    wv = np.asarray(wv, dtype=float)
+    finite = np.isfinite(wv)
+    slack = 10.0 * tol * n
+    coefs = np.zeros((grid.size, c.size))
+    pieces = np.zeros(grid.size, dtype=int)
+    sign = np.zeros(c.size)
+    lam, i = np.inf, 0
+    while i < grid.size:
+        pieces[i] += 1
+        active = np.flatnonzero(sign)
+        s_a = sign[active]
+        uv = np.linalg.solve(gram[np.ix_(active, active)], np.column_stack(
+            [c[active], wv[active] * s_a / (2.0 * n)]))
+        u, v = uv[:, 0], uv[:, 1]
+        ad = 2.0 * n * (gram[:, active] @ uv)
+        a, d = 2.0 * n * c - ad[:, 0], ad[:, 1]
+        leave = s_a * v < 0.0
+        kinks = [(u[leave] / v[leave], active[leave], np.zeros(leave.sum()))]
+        out = finite & (sign == 0.0) & (np.abs(a) > slack)
+        for s in (1.0, -1.0):
+            j = np.flatnonzero(out & (wv - s * d > 0.0))
+            kinks.append((s * a[j] / (wv[j] - s * d[j]), j, np.full(j.size, s)))
+        lams, who, how = (np.concatenate(t) for t in zip(*kinks))
+        join = how != 0.0
+        lams[join] = np.minimum(lams[join], lam)
+        lams[(lams < 0.0) | (~join & (lams >= lam))] = 0.0
+        lam = lams.max(initial=0.0)
+        end = i + int(np.count_nonzero(grid[i:] >= lam))
+        coefs[i:end, active] = u - grid[i:end, None] * v
+        i = end
+        if i < grid.size:
+            k = int(np.argmax(lams))
+            sign[who[k]] = how[k]
+    return coefs, pieces, kkt_by_point(gram, c, grid, wv, slack, n, coefs)

@@ -38,6 +38,7 @@ from oracles import (
     ols_fit,
     penalized_objective_naive,
     soft_threshold,
+    solve_path_reference,
 )
 
 
@@ -271,6 +272,10 @@ class TestCoordinateDescent:
         with pytest.raises(ValueError, match="degenerate predictor variance"):
             weighted_lasso_cd(gram, np.array([0.5, 0.5]), np.ones(2), 0.1, 10)
 
+    def test_no_predictors(self):
+        b = weighted_lasso_cd(np.zeros((0, 0)), [], [], 1.0, 10)
+        assert b.shape == (0,)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             weighted_lasso_cd(np.eye(3), np.ones(2), np.ones(2), 0.1, 10)
@@ -314,6 +319,37 @@ def _lasso_instances(draw):
     else:
         b0 = -cd_reference(gram, c, w, lam, n, None, 1e-7, 10000)[0]
     return gram, c, w, lam, n, b0
+
+
+@st.composite
+def _path_instances(draw):
+    """A `_lasso_instances` draw with its descending grid down to 0: as
+    drawn ("plain"), with exact kink ties on one side ("tied") or with exact
+    ties across sides ("flipped").
+
+    "tied": the finite-weight predictors whose c_j has the sign of the first
+    one get weights |c_j| 2^-e, so they all join first at exactly the same
+    kink, on the same side; both kernels then take the lowest index.
+    "flipped": a sign-flipped copy of one finite-weight predictor is
+    appended with the same weight, so its kinks tie exactly with the
+    original's on the other side.
+    """
+    gram, c, w, _, n, _ = draw(_lasso_instances())
+    variant = draw(st.sampled_from(["plain", "tied", "flipped"]))
+    finite = np.flatnonzero(np.isfinite(w))
+    if variant == "tied":
+        tie = np.sign(c[finite]) == np.sign(c[finite[0]])
+        # 2^e exceeds every other |c_j| / w_j
+        _, e = np.frexp(np.max(np.abs(c[finite[~tie]]) / w[finite[~tie]],
+                               initial=0.0))
+        w[finite[tie]] = np.abs(c[finite[tie]]) * 2.0 ** -e
+    elif variant == "flipped":
+        j = draw(st.sampled_from(finite.tolist()))
+        gram = np.block([[gram, -gram[:, j:j + 1]],
+                         [-gram[j:j + 1, :], np.ones((1, 1))]])
+        c, w = np.append(c, -c[j]), np.append(w, w[j])
+    grid = np.append(lambda_grid(gram, c, w, n, n_lambda=20), 0.0)
+    return gram, c, w, grid, n, variant
 
 
 class TestActiveSetSolver:
@@ -372,6 +408,23 @@ class TestActiveSetSolver:
             coefs, _, flags = regression._solve_path(gram, c, w, grid, n, tol)
             assert np.array_equal(
                 flags, kkt_by_point(gram, c, grid, w, 10.0 * tol * n, n, coefs))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_path_instances())
+    def test_matches_the_reference_kernel(self, inst):
+        gram, c, w, grid, n, variant = inst
+        got = regression._solve_path(gram, c, w, grid, n, 1e-7)
+        ref = solve_path_reference(gram, c, w, grid, n, 1e-7)
+        if all(np.array_equal(x, y) for x, y in zip(got, ref)):
+            return
+        # only exact kink ties, between a predictor and its sign-flipped
+        # copy, may go another way: to the lower index, not + joins first
+        assert variant == "flipped"
+        assert got[2].all() and ref[2].all()
+        for lam, b, b_ref in zip(grid, got[0], ref[0]):
+            obj = penalized_objective_naive(gram, c, w, lam, n, b)
+            ref_obj = penalized_objective_naive(gram, c, w, lam, n, b_ref)
+            assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
 
     def test_well_conditioned_solve_takes_few_rounds(self):
         # pieces of the exact path against sweeps of the reference
@@ -447,6 +500,34 @@ class TestFitPath:
         with pytest.raises(ValueError, match="descending"):
             fit_path(_embed(np.eye(2), [0.1, 0.1]), np.ones(2),
                      np.array([1.0, 2.0]), 10)
+
+
+_BAD_GRIDS = [[5.0, -1.0], [np.inf, 10.0], [1.0, np.nan], [1.0, 50.0],
+              [2.0, 2.0]]
+
+
+class TestGridCheck:
+    """Every path entry rejects a grid that is not finite, not nonnegative
+    or not strictly descending with one named error."""
+
+    MESSAGE = "lambda grid must be finite, nonnegative and strictly descending"
+
+    @pytest.mark.parametrize("grid", _BAD_GRIDS)
+    def test_fit_path(self, grid):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            fit_path(_embed(np.eye(2), [0.3, -0.2]), np.ones(2),
+                     np.array(grid), 10)
+
+    @pytest.mark.parametrize("grid", _BAD_GRIDS)
+    def test_cross_validate(self, grid):
+        pseudo = np.random.default_rng(36).standard_normal((20, 3))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            cross_validate(pseudo, np.ones(2), np.array(grid), folds=4)
+
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, np.inf])
+    def test_weighted_lasso_cd(self, lam):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            weighted_lasso_cd(np.eye(2), [0.3, -0.2], np.ones(2), lam, 10)
 
 
 class TestCrossValidate:

@@ -376,3 +376,17 @@ class TestStabilityProtocol:
         assert np.all((0 <= rates.contaminated) & (rates.contaminated <= 1))
         # the two strong predictors should be picked nearly always when clean
         assert rates.clean[0] == 1.0 and rates.clean[1] == 1.0
+
+    @pytest.mark.parametrize("column", ["y", "x2"])
+    def test_zero_scale_column_is_named(self, column):
+        # a constant response fails here as its first fit would
+        X = gen_design(SimDesign(n=40, p=3, seed=14))
+        y = X[:, 0] + np.random.default_rng(15).standard_normal(40)
+        if column == "y":
+            y[:] = 1.0
+        else:
+            X[:, 1] = 1.0
+        Z = DataMatrix.from_arrays(y, X)
+        with pytest.raises(ValueError,
+                           match=f"zero scale for column {column!r}"):
+            selection_stability_study(Z, n_redundant=1, replicates=1)
