@@ -6,8 +6,10 @@ so that downstream partition extraction never needs an index argument.
 """
 
 import csv
+import itertools
 import math
 import string
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +111,10 @@ class DataMatrix:
 
         Every cell must be a finite float written in ASCII; the error message
         names the first offending row (1-based, excluding the header) and
-        column. Rows stream into one float64 buffer as they are checked.
+        column. A body of plain number lines is parsed in one np.loadtxt
+        pass (_bulk_rows); any other body streams through the checked
+        parser (_checked_rows), which reads the same numbers and names the
+        first bad cell.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -122,8 +127,10 @@ class DataMatrix:
             header = [h.strip() for h in header]
             if response not in header:
                 raise ValueError(f"response column {response!r} not in header")
-            arr = np.fromiter(_checked_rows(reader, header),
-                              dtype=np.dtype((float, (len(header),))))
+            arr = _bulk_rows(path, reader.line_num, len(header))
+            if arr is None:
+                arr = np.fromiter(_checked_rows(reader, header),
+                                  dtype=np.dtype((float, (len(header),))))
         if arr.shape[0] == 0:
             raise ValueError("empty input")
         ridx = header.index(response)
@@ -133,18 +140,57 @@ class DataMatrix:
     def to_csv(self, path):
         """Write response-first CSV; floats at 17 significant digits so a
         write-then-read round trip is bit-identical."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.values:
-                writer.writerow([format_float(v) for v in row])
+        write_csv(path, self.columns, self.values)
+
+
+# the bytes of a line of unquoted decimal, nan and inf cells
+_PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\r\n"
+
+
+class _NotPlain(Exception):
+    """A line holds a byte outside _PLAIN or is too long for one cell."""
+
+
+def _plain_lines(fh, limit):
+    for line in fh:
+        if len(line) > limit or line.translate(None, _PLAIN):
+            raise _NotPlain
+        yield line
+
+
+def _bulk_rows(path, skip, width):
+    """The rows after the first `skip` lines of the file at `path`, parsed
+    in one np.loadtxt pass as a float table `width` cells wide, or None
+    where _checked_rows must decide: a line of other bytes (quotes, '_',
+    '#', non-ASCII, control characters that loadtxt strips as space) or
+    longer than csv.field_size_limit(), a lone CR in the skipped header, a
+    parse error or warning, no rows, a ragged or wrong width, or a
+    non-finite cell. On plain lines loadtxt and float() read the same
+    grammar to the same bits."""
+    with open(path, "rb") as fh:
+        for line in itertools.islice(fh, skip):
+            # csv counted a lone CR as a line end; binary lines split at LF
+            if line.count(b"\r") != line.endswith(b"\r\n"):
+                return None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                arr = np.loadtxt(_plain_lines(fh, csv.field_size_limit()),
+                                 delimiter=",", comments=None, ndmin=2,
+                                 dtype=float, encoding="ascii")
+            except (_NotPlain, ValueError):
+                return None
+    if (caught or arr.shape[0] == 0 or arr.shape[1] != width
+            or not np.isfinite(arr).all()):
+        return None
+    return arr
 
 
 def _checked_rows(reader, header):
-    """The non-blank rows as tuples of finite floats. A row that fails the
-    bulk parse (wrong cell count, or a cell that is not a plain ASCII
-    decimal number, which Python's float() alone does not require) or holds
-    a non-finite value goes to _reject_row for its diagnostic."""
+    """The checked parser: the non-blank rows as tuples of finite floats.
+    A row with the wrong cell count, a cell that is not a plain ASCII
+    decimal number (which Python's float() alone does not require) or a
+    non-finite value goes to _reject_row for its diagnostic."""
     i = 0
     try:
         for i, row in enumerate(reader, start=1):

@@ -330,6 +330,18 @@ class TestSimulate:
         for name in ("train.csv", "test.csv", "mask.csv", "truth.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_every_csv_ends_lines_with_lf(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--output-dir", str(out), "--seed", "5",
+                     "--n", "20", "--p", "4", "--e", "0.2",
+                     "--gamma", "3"]) == 0
+        for name in ("train.csv", "test.csv", "mask.csv"):
+            assert b"\r" not in (out / name).read_bytes(), name
+        train = replicate_data(SimDesign(n=20, p=4), 0.2, 3.0, 5)[0]
+        back = DataMatrix.from_csv(out / "train.csv", "y")
+        assert back.columns == train.columns
+        assert back.values.tobytes() == train.values.tobytes()
+
     def test_writes_the_shared_replicate_data(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--output-dir", str(out), "--seed", "11",

@@ -1,14 +1,18 @@
+import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gralasso.data import DataMatrix
+from gralasso import data
+from gralasso.data import DataMatrix, format_float
 
 
 def _toy(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     return path
 
 
@@ -108,11 +112,142 @@ class TestCsv:
             DataMatrix.from_csv(path, "y")
 
     def test_header_only(self, tmp_path):
-        path = _toy(tmp_path, "y,a\n")
-        with pytest.raises(ValueError, match="empty input"):
-            DataMatrix.from_csv(path, "y")
+        for text in ("y,a\n", "y,a\n\n\n  \n"):
+            with pytest.raises(ValueError, match="empty input"):
+                DataMatrix.from_csv(_toy(tmp_path, text), "y")
 
     def test_blank_lines_skipped(self, tmp_path):
-        path = _toy(tmp_path, "y,a\n1,2\n\n3,4\n")
+        path = _toy(tmp_path, "y,a\n1,2\n\n  \n\t\n \t \r\n3,4\n")
         Z = DataMatrix.from_csv(path, "y")
-        assert Z.n == 2
+        assert np.array_equal(Z.values, [[1, 2], [3, 4]])
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = _toy(tmp_path, 'y,a\n"1.5",2\n3,"-4e-1"\n')
+        Z = DataMatrix.from_csv(path, "y")
+        assert np.array_equal(Z.values, [[1.5, 2], [3, -0.4]])
+
+    @pytest.mark.parametrize("text", [
+        "y,a\r1,2\r3,4\r",
+        "y,a\r\n1,2\r\n3,4",
+        "y,a\r1,2\n3,4\n",
+        "y,a\n1,2\r3,4\n",
+        "y,a\n\r1,2\r\r\n3,4\n",
+    ], ids=["lone-cr", "crlf-no-final-eol", "cr-header-lf-body",
+            "cr-inside-lf-body", "cr-blank-lines"])
+    def test_line_endings(self, tmp_path, text):
+        Z = DataMatrix.from_csv(_toy(tmp_path, text), "y")
+        assert np.array_equal(Z.values, [[1, 2], [3, 4]])
+
+    def test_non_ascii_header_over_numeric_body(self, tmp_path):
+        path = _toy(tmp_path, "\u00e9t\u00e9,y\n1,2\n3,4\n")
+        Z = DataMatrix.from_csv(path, "y")
+        assert Z.columns == ("y", "\u00e9t\u00e9")
+        assert np.array_equal(Z.values, [[2, 1], [4, 3]])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_quoted_header_spanning_lines(self, tmp_path, newline):
+        path = _toy(tmp_path, f'"a{newline}b",y\n1,2\n3,4\n')
+        Z = DataMatrix.from_csv(path, "y")
+        assert Z.columns == ("y", f"a{newline}b")
+        assert np.array_equal(Z.values, [[2, 1], [4, 3]])
+
+    def test_cell_longer_than_the_field_limit(self, tmp_path):
+        # all but the last digit are zeros, so the cell reads as 1.0
+        cell = "0" * csv.field_size_limit() + "1"
+        path = _toy(tmp_path, f"y,a\n1,2\n3,{cell}\n5,6\n")
+        with pytest.raises(ValueError, match=r"^unreadable row 2: field larger"):
+            DataMatrix.from_csv(path, "y")
+
+    def test_table_is_fortran_ordered(self, tmp_path):
+        path = _toy(tmp_path, "a,y\n1,2\n3,4\n5,6\n")
+        Z = DataMatrix.from_csv(path, "y")
+        assert Z.values.flags.f_contiguous and not Z.values.flags.c_contiguous
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(format_float),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_SPECIAL = st.sampled_from([
+    "nan", "-NaN", "inf", "+Infinity", "-iNf", "1e400", "-1e400", "1e-400",
+    "-0", ".5", "5.", "+1", " 1 ", "\t2", "1e", "e5", "", "-", "--1",
+    "0x10", "1d5", "1 2", "infinit",
+])
+# bytes outside the plain set that csv, float() or loadtxt treat specially
+_DIRT = st.text("\x0b\x0c\x1c\x1d\x1e\x1f#'\"_\u0661\uff11\u00a0 \t",
+                min_size=1, max_size=2)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A y,a[,b] header over one to six rows of finite, special or dirtied
+    cells, maybe ragged, with CR, LF or CRLF ends (one kind per file or
+    mixed) and blank lines."""
+    width = draw(st.integers(2, 3))
+    cell = _FINITE if draw(st.booleans()) else st.one_of(_FINITE, _SPECIAL)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, width - 1))
+        if draw(st.booleans()):
+            row[j] = draw(_DIRT) + row[j]
+        else:
+            row[j] = row[j] + draw(_DIRT)
+    if draw(st.integers(0, 3)) == 3:
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append(draw(cell))
+        else:
+            row.pop()
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t ", ","])))
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        end = st.just(draw(end))
+    ends = draw(st.lists(end, min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in
+                   zip([",".join("yab"[:width]), *lines], ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _read(path):
+    """Columns, shape, bits and layout of from_csv, or its error text."""
+    try:
+        Z = DataMatrix.from_csv(path, "y")
+    except ValueError as exc:
+        return str(exc)
+    return (Z.columns, Z.values.shape, Z.values.tobytes(),
+            Z.values.flags.f_contiguous)
+
+
+class TestBulkParse:
+    @settings(max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_csv_texts())
+    def test_matches_the_checked_parser(self, tmp_path, text):
+        path = _toy(tmp_path, text)
+        with mock.patch.object(data, "_bulk_rows", return_value=None):
+            expected = _read(path)
+        assert _read(path) == expected
+
+    def test_plain_body_skips_the_checked_parser(self, tmp_path):
+        path = _toy(tmp_path, '"a\nb",y\r\n1.5,-2e-3\r\n\r\n 3\t,4\r\n')
+        with mock.patch.object(data, "_checked_rows",
+                               side_effect=AssertionError):
+            Z = DataMatrix.from_csv(path, "y")
+        assert Z.columns == ("y", "a\nb")
+        assert np.array_equal(Z.values, [[-2e-3, 1.5], [4, 3]])
+
+    @pytest.mark.parametrize("text", [
+        "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", 'y,a\n1,"2"\n', "y,a\n1,2#3\n",
+        "y,a\r1,2\n", "y,a\n1,inf\n", "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",
+        "y,a\n1,2\n" + "0" * csv.field_size_limit() + "1,2\n",
+    ], ids=["leading-fs", "trailing-us", "quoted", "hash", "cr-header", "inf",
+            "wide", "narrow", "no-rows", "long-line"])
+    def test_declines_what_it_must_not_read(self, tmp_path, text):
+        assert data._bulk_rows(_toy(tmp_path, text), 1, 2) is None
