@@ -155,7 +155,9 @@ def _plain_lines(fh, limit):
     for line in fh:
         if len(line) > limit or line.translate(None, _PLAIN):
             raise _NotPlain
-        yield line
+        # the checked parser skips whitespace-only lines too
+        if line.strip():
+            yield line
 
 
 def _bulk_rows(path, skip, width):
@@ -165,8 +167,9 @@ def _bulk_rows(path, skip, width):
     '#', non-ASCII, control characters that loadtxt strips as space) or
     longer than csv.field_size_limit(), a lone CR in the skipped header, a
     parse error or warning, no rows, a ragged or wrong width, or a
-    non-finite cell. On plain lines loadtxt and float() read the same
-    grammar to the same bits."""
+    non-finite cell. Whitespace-only lines are skipped, as _checked_rows
+    skips them. On plain lines loadtxt and float() read the same grammar to
+    the same bits."""
     with open(path, "rb") as fh:
         for line in itertools.islice(fh, skip):
             # csv counted a lone CR as a line end; binary lines split at LF

@@ -15,8 +15,10 @@ The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
 lambda = +inf: one linear solve on the active set per piece, the next kink
 where a coefficient reaches zero or an inactive gradient reaches its
 penalty, every grid point written off its piece in closed form, and one KKT
-certificate pass over the whole path. Cross-validation folds, the final
-path and a fixed lambda all run through the same path.
+certificate pass over the whole path. The cross-validation folds and the
+final path share the weights and the grid, so they are traced in lockstep
+as one stack of problems, with one stacked linear solve per round; a fixed
+lambda is a one-point path of a stack of one.
 """
 
 import warnings
@@ -231,9 +233,11 @@ def _kkt(gram, c, grid, wv, slack, n, coefs):
     return (ok | ~finite).all(axis=1)
 
 
-def _solve_path(gram, c, wv, grid, n, tol):
-    """Exact homotopy down a lambda grid: (coefficients, pieces, certified),
-    one row or entry per lambda.
+def _solve_path(grams, cs, wv, grid, n, tol):
+    """Exact homotopy down a lambda grid for a stack of problems sharing the
+    weights and the grid: (coefficients, pieces, certified) of shapes
+    (F, G, p), (F, G) and (F, G) for F problems (grams (F, p, p), cs (F, p))
+    and G grid points.
 
     The grid must be finite, nonnegative and strictly descending; any other
     raises ValueError. From lambda = +inf and an empty active set A, each
@@ -249,49 +253,85 @@ def _solve_path(gram, c, wv, grid, n, tol):
     s_j; exact ties go to the lowest coordinate index. Joins with |a_j| <=
     10 tol n are skipped: the piece already certifies j at every lower
     lambda, and such rounding-level joins would make G_AA singular on
-    rank-deficient or duplicated predictors. Each piece writes all of its
-    grid points at once, and one KKT pass certifies the whole path;
-    `pieces[i]` counts the pieces started since grid point i - 1.
+    rank-deficient or duplicated predictors.
+
+    The problems are traced in lockstep. Each round takes one piece of every
+    live problem (its last kink still above the last grid point) with one
+    stacked solve: each active block, in ascending index order, is padded
+    to the round's largest by distinct finite-weight inactive coordinates
+    with identity rows and columns and a zero right-hand side, so their u
+    and v are 0. A stack of one is never padded and rounds as a single
+    problem would. Each round writes the grid points its pieces hold, and
+    one KKT pass per problem certifies its whole path; `pieces[f, i]` counts
+    problem f's pieces started since grid point i - 1.
     """
     if not (np.isfinite(grid).all() and (grid >= 0.0).all()
             and (np.diff(grid) < 0.0).all()):
         raise ValueError("lambda grid must be finite, nonnegative and "
                          "strictly descending")
     finite = np.isfinite(wv)
-    if (np.diagonal(gram)[finite] <= 0.0).any():
+    if (np.diagonal(grams, axis1=1, axis2=2)[:, finite] <= 0.0).any():
         raise ValueError("degenerate predictor variance")
+    n_prob, p = cs.shape
     slack = 10.0 * tol * n
-    coefs = np.zeros((grid.size, c.size))
-    pieces = np.zeros(grid.size, dtype=int)
-    sign = np.zeros(c.size)  # active coordinates carry their sign, others 0
-    lam, i = np.inf, 0
+    c2n = 2.0 * n * cs
+    coord = np.arange(p)
+    sign = np.zeros((n_prob, p))  # active coordinates carry their sign
+    lam = np.full(n_prob, np.inf)
+    coefs = np.zeros((n_prob, grid.size, p))
+    pieces = np.zeros((n_prob, grid.size), dtype=int)
     # with no predictors every grid point holds the empty solution
-    while i < grid.size and c.size:
-        pieces[i] += 1
-        active = np.flatnonzero(sign)
-        s_a = sign[active]
-        uv = np.linalg.solve(gram[np.ix_(active, active)], np.column_stack(
-            [c[active], wv[active] * s_a / (2.0 * n)]))
-        u, v = uv[:, 0], uv[:, 1]
-        ad = 2.0 * n * (gram[:, active] @ uv)
-        a, d = 2.0 * n * c - ad[:, 0], ad[:, 1]
-        kink = np.zeros(c.size)  # 0: no kink of this coordinate below lam
-        leave = s_a * v < 0.0
-        kink[active[leave]] = u[leave] / v[leave]
-        kink[(kink < 0.0) | (kink >= lam)] = 0.0
+    live = np.arange(n_prob if p else 0)
+    while live.size:
+        sg = sign[live]
+        on = sg != 0.0
+        size = on.sum(axis=1)
+        # actives in ascending order, then finite-weight inactive pads
+        idx = np.argsort(np.where(on, 0, 2 - finite), axis=1,
+                         kind="stable")[:, :size.max()]
+        act = coord[:idx.shape[1]] < size[:, None]
+        at = np.arange(live.size)
+        s_a = sg[at[:, None], idx]
+        block = np.where(act[:, :, None] & act[:, None, :],
+                         grams[live[:, None, None], idx[:, :, None],
+                               idx[:, None, :]],
+                         np.eye(idx.shape[1]))
+        rhs = np.stack([np.where(act, cs[live[:, None], idx], 0.0),
+                        wv[idx] * s_a / (2.0 * n)], axis=2)
+        # pads solve to +-0; +0 keeps -0.0 out of the coefficients
+        uv = np.where(act[..., None], np.linalg.solve(block, rhs), 0.0)
+        # G_:A gathered as the rows of G' and transposed back, the layout of
+        # `gram[:, active]`, so a stack of one rounds like a single problem
+        cols = grams.transpose(0, 2, 1)[live[:, None], idx].transpose(0, 2, 1)
+        ad = 2.0 * n * (cols @ uv)
+        a, d = c2n[live] - ad[..., 0], ad[..., 1]
+        u, v = uv[..., 0], uv[..., 1]
+        here = lam[live, None]
+        kink = np.zeros(sg.shape)  # 0: no kink of this coordinate below lam
+        kink[at[:, None], idx] = np.divide(u, v, out=np.zeros(u.shape),
+                                           where=act & (s_a * v < 0.0))
+        kink[(kink < 0.0) | (kink >= here)] = 0.0
         s = np.sign(a)
         room = wv - s * d
-        join = np.flatnonzero(finite & (sign == 0.0) & (np.abs(a) > slack)
-                              & (room > 0.0))
-        kink[join] = np.minimum(np.abs(a[join]) / room[join], lam)
-        k = int(np.argmax(kink))
-        lam = kink[k]
-        end = i + int(np.count_nonzero(grid[i:] >= lam))
-        coefs[i:end, active] = u - grid[i:end, None] * v
-        i = end
+        join = finite & ~on & (np.abs(a) > slack) & (room > 0.0)
+        kink = np.where(join, np.minimum(np.divide(
+            np.abs(a), room, out=np.zeros(a.shape), where=join), here), kink)
+        k = np.argmax(kink, axis=1)
+        lam[live] = kink[at, k]
+        # each piece starts at the first grid point below `here` and holds
+        # the grid points down to its kink
+        below = grid < here
+        pieces[live, grid.size - below.sum(axis=1)] += 1
+        r, i = np.nonzero(below & (grid >= lam[live, None]))
+        coefs[live[r, None], i[:, None], idx[r]] = (
+            u[r] - grid[i, None] * v[r])
         # k leaves or joins; once no grid point is left the change goes unused
-        sign[k] = 0.0 if sign[k] else s[k]
-    return coefs, pieces, _kkt(gram, c, grid, wv, slack, n, coefs)
+        sign[live, k] = np.where(on[at, k], 0.0, s[at, k])
+        live = live[lam[live] > grid[-1]]
+    # one KKT pass per problem: a pass over the whole stack holds several
+    # (F, G, p) temporaries, MBs of peak memory at p = 200
+    return coefs, pieces, np.array(
+        [_kkt(g, c, grid, wv, slack, n, b) for g, c, b in zip(grams, cs, coefs)])
 
 
 def weighted_lasso_cd(gram, c, w, lam: float, n: int,
@@ -305,11 +345,12 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int,
     wv = _weight_vector(w)
     if gram.shape != (c.size, c.size) or wv.size != c.size:
         raise ValueError("dimension mismatch between gram, c and weights")
-    b, pieces, ok = _solve_path(gram, c, wv, np.array([float(lam)]), n, tol)
-    if not ok[0]:
-        warnings.warn(f"the lasso path stopped after {pieces[0]} pieces "
+    b, pieces, ok = _solve_path(gram[None], c[None], wv,
+                                np.array([float(lam)]), n, tol)
+    if not ok[0, 0]:
+        warnings.warn(f"the lasso path stopped after {pieces[0, 0]} pieces "
                       "without a KKT certificate; returning its solution")
-    return b[0]
+    return b[0, 0]
 
 
 def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
@@ -323,6 +364,20 @@ def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
     return quad + float(lam * np.sum(wv[act] * np.abs(b[act])))
 
 
+def _lasso_path(grid, coefs, pieces, conv) -> LassoPath:
+    """LassoPath of one problem's rows of a `_solve_path` run; warns if a
+    grid point is uncertified."""
+    if not np.all(conv):
+        warnings.warn("the lasso solver did not certify convergence at "
+                      f"{int(np.sum(~conv))} of {grid.size} grid points")
+    rows, cols = np.nonzero(coefs != 0.0)
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=grid.size)).tolist()
+    supports = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+    return LassoPath(lambdas=grid.copy(), coefficients=coefs,
+                     supports=supports, iterations=pieces, converged=conv)
+
+
 def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
     """Exact solution path read off at a descending lambda grid.
 
@@ -331,20 +386,14 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
     """
     grid = np.asarray(grid, dtype=float)
     coefs, pieces, conv = _solve_path(
-        np.asarray(cov.xx, dtype=float), np.asarray(cov.xy, dtype=float),
-        _weight_vector(w), grid, n, tol)
-    if not np.all(conv):
-        warnings.warn("the lasso solver did not certify convergence at "
-                      f"{int(np.sum(~conv))} of {grid.size} grid points")
-    supports = tuple(tuple(int(j) for j in np.flatnonzero(b != 0.0))
-                     for b in coefs)
-    return LassoPath(lambdas=grid.copy(), coefficients=coefs,
-                     supports=supports, iterations=pieces, converged=conv)
+        np.asarray(cov.xx, dtype=float)[None],
+        np.asarray(cov.xy, dtype=float)[None], _weight_vector(w), grid, n, tol)
+    return _lasso_path(grid, coefs[0], pieces[0], conv[0])
 
 
 def _cv_folds(values, folds, seed):
-    """Yield (gram, c, held-out y, held-out X) per fold of a response-first
-    table.
+    """The folds of a response-first table: (grams, cs, held-out row
+    blocks), with grams (folds, p, p) and cs (folds, p).
 
     Rows are shuffled once by `seed` and split into contiguous blocks; each
     fold's gram/c come from the Pearson correlation of the other blocks'
@@ -355,11 +404,14 @@ def _cv_folds(values, folds, seed):
     if values.shape[0] < folds:
         raise ValueError("need at least as many rows as folds")
     perm = np.random.default_rng(seed).permutation(values.shape[0])
-    for block in np.array_split(perm, folds):
+    blocks = np.array_split(perm, folds)
+    corrs = []
+    for block in blocks:
         keep = np.ones(values.shape[0], dtype=bool)
         keep[block] = False
-        corr = _pearson_of_values(values[keep])
-        yield corr[1:, 1:], corr[1:, 0], values[block, 0], values[block, 1:]
+        corrs.append(_pearson_of_values(values[keep]))
+    corrs = np.array(corrs)
+    return corrs[:, 1:, 1:], corrs[:, 1:, 0], blocks
 
 
 def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
@@ -368,39 +420,43 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
 
     Rows are shuffled once with the given seed and split into contiguous
     blocks. Each fold refits the Pearson correlation matrix of its training
-    rows, traces the path with the provided weights, and scores the held-out
-    rows by the mean squared residual of pseudo response minus pseudo
-    predictors times the standardised coefficients. `idx_min` marks the
-    smallest mean error; `idx_1se` the largest lambda whose mean error stays
-    within one standard error of it.
+    rows, traces the path with the provided weights (all folds in lockstep),
+    and scores the held-out rows by the mean squared residual of pseudo
+    response minus pseudo predictors times the standardised coefficients.
+    `idx_min` marks the smallest mean error; `idx_1se` the largest lambda
+    whose mean error stays within one standard error of it.
     """
     values, _ = as_table(pseudo)
-    n_rows, width = values.shape
-    p = width - 1
     if n is None:
-        n = n_rows
+        n = values.shape[0]
     grid = np.asarray(grid, dtype=float)
-    wv = _weight_vector(w)
-    errors = []
-    uncertified = 0
-    for f, (gram, cvec, held_y, held_x) in enumerate(
-            _cv_folds(values, folds, seed)):
-        n_train = n_rows - held_y.size
+    grams, cs, blocks = _cv_folds(values, folds, seed)
+    coefs, _, conv = _solve_path(grams, cs, _weight_vector(w), grid, n, tol)
+    return _cv_curve(values, blocks, grid, coefs, conv)
+
+
+def _cv_curve(values, blocks, grid, coefs, conv) -> CvCurve:
+    """CvCurve of the fold rows of a `_solve_path` run: each fold's held-out
+    rows are scored by the mean squared residual of pseudo response minus
+    pseudo predictors times its coefficients. Warns for each fold with too
+    few training rows, and once if a fold grid point is uncertified."""
+    n_rows, p = values.shape[0], values.shape[1] - 1
+    for f, block in enumerate(blocks):
+        n_train = n_rows - block.size
         if p < n_rows and n_train < p + 2:
             warnings.warn(
                 f"fold {f}: only {n_train} training rows for {p} predictors"
             )
-        coefs, _, conv = _solve_path(gram, cvec, wv, grid, n, tol)
-        uncertified += int(np.sum(~conv))
-        errors.append(np.mean((held_y[:, None] - held_x @ coefs.T) ** 2,
-                              axis=0))
-    if uncertified:
+    if not conv.all():
         warnings.warn("cross-validation: the lasso solver did not certify "
-                      f"convergence at {uncertified} of {folds * grid.size} "
+                      f"convergence at {int(np.sum(~conv))} of {conv.size} "
                       "fold grid points")
-    errors = np.array(errors)
+    errors = np.array([
+        np.mean((values[block, 0][:, None] - values[block, 1:] @ b.T) ** 2,
+                axis=0)
+        for block, b in zip(blocks, coefs)])
     mean = errors.mean(axis=0)
-    se = errors.std(axis=0, ddof=1) / np.sqrt(folds)
+    se = errors.std(axis=0, ddof=1) / np.sqrt(len(blocks))
     idx_min = int(np.argmin(mean))
     threshold = mean[idx_min] + se[idx_min]
     idx_1se = int(np.flatnonzero(mean <= threshold)[0])
@@ -458,14 +514,17 @@ def screen_top_k(Z, k: int) -> np.ndarray:
 _RIDGE_KAPPAS = np.logspace(-3.0, 1.0, 9)
 
 
-def _ridge_kappa_by_cv(values, folds, seed):
+def _ridge_kappa_by_cv(values, cv_folds):
     """Pick the ridge penalty for the initial estimate from `_RIDGE_KAPPAS`
-    by pseudo-data CV."""
-    eye = np.eye(values.shape[1] - 1)
-    errs = [[np.mean((held_y - held_x @ np.linalg.solve(gram + kap * eye,
-                                                          cvec)) ** 2)
-             for kap in _RIDGE_KAPPAS]
-            for gram, cvec, held_y, held_x in _cv_folds(values, folds, seed)]
+    by pseudo-data CV over the `_cv_folds` stack: one stacked solve scores
+    every fold and kappa."""
+    grams, cs, blocks = cv_folds
+    eye = np.eye(grams.shape[1])
+    betas = np.linalg.solve(grams[:, None] + _RIDGE_KAPPAS[:, None, None] * eye,
+                            cs[:, None, :, None])[..., 0]
+    errs = [np.mean((values[block, :1] - values[block, 1:] @ b.T) ** 2,
+                    axis=0)
+            for block, b in zip(blocks, betas)]
     return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=0)))])
 
 
@@ -478,8 +537,9 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
 
     Steps: per-column summaries -> pseudo-data scores -> correlation matrix
     -> initial estimate (direct when p < n/2, ridge otherwise) -> adaptive
-    weights -> lambda grid -> pseudo-data cross-validation -> coefficients
-    at the chosen lambda -> original units.
+    weights -> lambda grid -> pseudo-data cross-validation and the final
+    path (traced in lockstep) -> coefficients at the chosen lambda ->
+    original units.
 
     `estimator` selects the correlation plug-in ("gr", "spearman" or
     "pearson"); `weights` one of "auto", "direct", "ridge" or "unit" (plain
@@ -501,6 +561,7 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
         raise ValueError("lambda must be finite and nonnegative")
     n, p = Z.n, Z.p
+    cv_folds = None  # built once, when the ridge kappa or the CV needs it
 
     summaries = column_summaries(Z, estimator)
     scores = score_matrix(Z, kind)
@@ -522,8 +583,11 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
                     raise
                 mode = "ridge"
         if mode == "ridge":
-            kap = (_ridge_kappa_by_cv(scores, folds, seed)
-                   if kappa == "cv" else float(kappa))
+            if kappa == "cv":
+                cv_folds = _cv_folds(scores, folds, seed)
+                kap = _ridge_kappa_by_cv(scores, cv_folds)
+            else:
+                kap = float(kappa)
             beta_init = initial_estimate_ridge(R, kap)
             wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
     else:
@@ -532,13 +596,21 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     if fixed_lambda is None:
         ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
         grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
-        cv = cross_validate(scores, wobj, grid, folds=folds, seed=seed, n=n,
-                            tol=tol)
+        # the folds and the full-data path, traced in lockstep; the fold
+        # stack is let go so that only the joint one is held (MBs at p = 200)
+        grams, cs, blocks = cv_folds or _cv_folds(scores, folds, seed)
+        cv_folds = None
+        grams = np.concatenate([grams, R.xx[None]])
+        cs = np.concatenate([cs, R.xy[None]])
+        coefs, pieces, conv = _solve_path(grams, cs, wobj.weights, grid, n,
+                                          tol)
+        cv = _cv_curve(scores, blocks, grid, coefs[:-1], conv[:-1])
         idx = cv.idx_1se if rule == "1se" else cv.idx_min
     else:
         grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
-
-    path = fit_path(R, wobj, grid, n, tol=tol)
+        coefs, pieces, conv = _solve_path(R.xx[None], R.xy[None],
+                                          wobj.weights, grid, n, tol)
+    path = _lasso_path(grid, coefs[-1], pieces[-1], conv[-1])
     beta, intercept = destandardize(path.coefficients[idx], summaries)
     return SelectionFit(beta=beta, intercept=intercept,
                         support=path.supports[idx], lambda_=float(grid[idx]),

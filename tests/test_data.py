@@ -204,7 +204,8 @@ def _csv_texts(draw):
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))),
-                     draw(st.sampled_from(["", " ", "\t ", ","])))
+                     draw(st.sampled_from(["", " ", "\t ", "   ", "\t \t",
+                                           ","])))
     end = st.sampled_from(["\n", "\r\n", "\r"])
     if draw(st.booleans()):
         end = st.just(draw(end))
@@ -242,6 +243,16 @@ class TestBulkParse:
             Z = DataMatrix.from_csv(path, "y")
         assert Z.columns == ("y", "a\nb")
         assert np.array_equal(Z.values, [[-2e-3, 1.5], [4, 3]])
+
+    @pytest.mark.parametrize("text", ["y,a\n1,2\n   \n3,4",
+                                      "y,a\r\n1,2\r\n \t\r\n3,4",
+                                      "y,a\n \n1,2\n\t\n3,4\n  "])
+    def test_whitespace_lines_stay_on_the_bulk_pass(self, tmp_path, text):
+        path = _toy(tmp_path, text)
+        with mock.patch.object(data, "_checked_rows",
+                               side_effect=AssertionError):
+            Z = DataMatrix.from_csv(path, "y")
+        assert np.array_equal(Z.values, [[1, 2], [3, 4]])
 
     @pytest.mark.parametrize("text", [
         "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", 'y,a\n1,"2"\n', "y,a\n1,2#3\n",

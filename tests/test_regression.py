@@ -287,6 +287,19 @@ class TestCoordinateDescent:
 
 
 
+def _unit_gram(rng, rows, p, duplicate):
+    """Unit-diagonal PSD gram and c from `rows` draws of p + 1 variables,
+    with x2 a copy of x1 if `duplicate`."""
+    data = rng.standard_normal((rows, p + 1))
+    if duplicate:
+        data[:, 2] = data[:, 1]
+    m = data.T @ data
+    d = np.sqrt(np.diag(m))
+    m = m / np.outer(d, d)
+    np.fill_diagonal(m, 1.0)
+    return m[1:, 1:], m[1:, 0]
+
+
 @st.composite
 def _lasso_instances(draw):
     """Unit-diagonal PSD gram and c from `rows` draws of p + 1 variables
@@ -296,14 +309,7 @@ def _lasso_instances(draw):
     p = draw(st.integers(1, 30))
     rows = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = rng.standard_normal((rows, p + 1))
-    if p > 1 and draw(st.booleans()):
-        data[:, 2] = data[:, 1]
-    m = data.T @ data
-    d = np.sqrt(np.diag(m))
-    m = m / np.outer(d, d)
-    np.fill_diagonal(m, 1.0)
-    gram, c = m[1:, 1:], m[1:, 0]
+    gram, c = _unit_gram(rng, rows, p, p > 1 and draw(st.booleans()))
     w = rng.uniform(0.2, 5.0, p)
     n_inf = draw(st.integers(0, p - 1))
     w[rng.choice(p, n_inf, replace=False)] = np.inf
@@ -350,6 +356,106 @@ def _path_instances(draw):
         c, w = np.append(c, -c[j]), np.append(w, w[j])
     grid = np.append(lambda_grid(gram, c, w, n, n_lambda=20), 0.0)
     return gram, c, w, grid, n, variant
+
+
+@st.composite
+def _lasso_stacks(draw):
+    """One to six problems of a `_lasso_instances` draw's size, sharing its
+    weights, n and a grid from its first problem (down to 0 or not), in a
+    drawn order; the others are drawn like it, or are a copy of it."""
+    gram, c, w, _, n, _ = draw(_lasso_instances())
+    grams, cs = [gram], [c]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            g, v = gram, c
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            g, v = _unit_gram(rng, draw(st.integers(1, 40)), c.size,
+                              c.size > 1 and draw(st.booleans()))
+        grams.append(g)
+        cs.append(v)
+    grid = lambda_grid(gram, c, w, n, n_lambda=20)
+    if draw(st.booleans()):
+        grid = np.append(grid, 0.0)
+    order = draw(st.permutations(range(len(grams))))
+    return np.array(grams)[order], np.array(cs)[order], w, grid, n
+
+
+def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7):
+    """Every row of a stacked run has the pieces, certificates and supports
+    of its stack-of-one run, and coefficients within 1e-12 of its largest."""
+    coefs, pieces, ok = regression._solve_path(grams, cs, w, grid, n, tol)
+    assert coefs.shape == (len(cs), grid.size, cs.shape[1])
+    for f in range(len(cs)):
+        one = regression._solve_path(grams[f:f + 1], cs[f:f + 1], w, grid, n,
+                                     tol)
+        assert np.array_equal(pieces[f], one[1][0])
+        assert np.array_equal(ok[f], one[2][0])
+        assert np.array_equal(coefs[f] != 0.0, one[0][0] != 0.0)
+        scale = np.max(np.abs(one[0][0]), initial=0.0)
+        assert np.all(np.abs(coefs[f] - one[0][0]) <= 1e-12 * scale)
+
+
+class TestLockstepPaths:
+    """`_solve_path` traces a stack of problems in lockstep; each row must
+    be the stack-of-one run of its problem."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lasso_stacks())
+    def test_rows_match_stacks_of_one(self, inst):
+        _assert_rows_match_stacks_of_one(*inst)
+
+    def test_no_predictors(self):
+        coefs, pieces, ok = regression._solve_path(
+            np.zeros((3, 0, 0)), np.zeros((3, 0)), np.zeros(0),
+            np.array([2.0, 1.0]), 10, 1e-7)
+        assert coefs.shape == (3, 2, 0)
+        assert not pieces.any() and ok.all()
+
+    def test_one_point_grid(self):
+        rng = np.random.default_rng(60)
+        grams, cs = zip(*(_unit_gram(rng, 30, 6, False) for _ in range(4)))
+        grams, cs = np.array(grams), np.array(cs)
+        w = rng.uniform(0.2, 5.0, 6)
+        lam = 0.3 * lambda_grid(grams[0], cs[0], w, 30)[0]
+        _assert_rows_match_stacks_of_one(grams, cs, w, np.array([lam]), 30)
+
+    def test_grid_ending_at_zero_terminates(self):
+        rng = np.random.default_rng(61)
+        grams, cs = zip(*(_unit_gram(rng, 40, 5, False) for _ in range(3)))
+        grams, cs = np.array(grams), np.array(cs)
+        w = rng.uniform(0.2, 5.0, 5)
+        grid = np.append(lambda_grid(grams[0], cs[0], w, 40, n_lambda=10),
+                         0.0)
+        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = weighted_lasso_cd(grams[1], cs[1], w, 0.0, 40)
+        # lambda = 0 is least squares on a full-rank gram
+        assert np.allclose(b, np.linalg.solve(grams[1], cs[1]), atol=1e-10)
+
+    def test_problem_done_after_its_first_piece(self):
+        # c = 0: no predictor ever joins, so the first piece ends at 0
+        rng = np.random.default_rng(62)
+        gram, c = _unit_gram(rng, 30, 5, False)
+        grams, cs = np.array([gram, gram, gram]), np.array([c, 0 * c, c])
+        w = rng.uniform(0.2, 5.0, 5)
+        grid = lambda_grid(gram, c, w, 30, n_lambda=15)
+        coefs, pieces, ok = regression._solve_path(grams, cs, w, grid, 30,
+                                                   1e-7)
+        assert pieces[1].tolist() == [1] + [0] * 14
+        assert not coefs[1].any() and ok[1].all()
+        assert pieces[0].sum() > 1
+        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 30)
+
+    def test_all_weights_infinite(self):
+        rng = np.random.default_rng(63)
+        grams, cs = zip(*(_unit_gram(rng, 30, 4, False) for _ in range(2)))
+        coefs, pieces, ok = regression._solve_path(
+            np.array(grams), np.array(cs), np.full(4, np.inf),
+            np.array([3.0, 1.0, 0.0]), 30, 1e-7)
+        assert not coefs.any() and ok.all()
+        assert pieces.tolist() == [[1, 0, 0], [1, 0, 0]]
 
 
 class TestActiveSetSolver:
@@ -405,7 +511,8 @@ class TestActiveSetSolver:
         grid = lambda_grid(gram, c, w, n, n_lambda=20)
         # with tol = 0 most points with an active coefficient fail
         for tol in (1e-7, 0.0):
-            coefs, _, flags = regression._solve_path(gram, c, w, grid, n, tol)
+            coefs, _, flags = (x[0] for x in regression._solve_path(
+                gram[None], c[None], w, grid, n, tol))
             assert np.array_equal(
                 flags, kkt_by_point(gram, c, grid, w, 10.0 * tol * n, n, coefs))
 
@@ -413,7 +520,8 @@ class TestActiveSetSolver:
     @given(_path_instances())
     def test_matches_the_reference_kernel(self, inst):
         gram, c, w, grid, n, variant = inst
-        got = regression._solve_path(gram, c, w, grid, n, 1e-7)
+        got = [x[0] for x in regression._solve_path(
+            gram[None], c[None], w, grid, n, 1e-7)]
         ref = solve_path_reference(gram, c, w, grid, n, 1e-7)
         if all(np.array_equal(x, y) for x, y in zip(got, ref)):
             return
@@ -833,6 +941,55 @@ class TestFitGrAlasso:
         fit = fit_gr_alasso(DataMatrix.from_arrays(y, X), weights="ridge",
                             kappa="cv", seed=0)
         assert fit.weights.source.startswith("ridge(kappa=")
+
+    @pytest.mark.parametrize("n, p, kwargs", [
+        (80, 8, {"seed": 3}),
+        (80, 8, {"seed": 4, "rule": "min", "estimator": "spearman"}),
+        (60, 40, {"seed": 5, "weights": "ridge", "kappa": "cv"}),
+        (30, 12, {"seed": 6, "weights": "unit", "folds": 3}),
+    ])
+    def test_lockstep_path_and_cv_match_the_public_functions(self, n, p,
+                                                              kwargs):
+        # the folds and the final path are traced in one stack
+        rng = np.random.default_rng(52)
+        X = rng.standard_normal((n, p))
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(n)
+        Z = DataMatrix.from_arrays(y, X)
+        fit = fit_gr_alasso(Z, **kwargs)
+        grid = fit.path.lambdas
+        path = fit_path(fit.correlation, fit.weights, grid, n)
+        cv = cross_validate(score_matrix(Z, fit.estimator), fit.weights,
+                            grid, folds=kwargs.get("folds", 5),
+                            seed=kwargs["seed"], n=n)
+        assert fit.path.supports == path.supports
+        assert np.array_equal(fit.path.iterations, path.iterations)
+        assert np.array_equal(fit.path.converged, path.converged)
+        assert np.allclose(fit.path.coefficients, path.coefficients,
+                           rtol=0.0, atol=1e-12 * np.abs(path.coefficients).max())
+        assert (fit.cv.idx_min, fit.cv.idx_1se) == (cv.idx_min, cv.idx_1se)
+        assert np.array_equal(fit.cv.lambdas, cv.lambdas)
+        assert np.allclose(fit.cv.mean_errors, cv.mean_errors, rtol=1e-12,
+                           atol=0.0)
+        assert np.allclose(fit.cv.se_errors, cv.se_errors, rtol=1e-12,
+                           atol=0.0)
+
+    @pytest.mark.parametrize("n, p, seed", [(50, 30, 53), (40, 60, 54),
+                                            (80, 10, 55)])
+    def test_ridge_kappa_matches_the_per_fold_loop(self, n, p, seed):
+        # one stacked solve over folds x kappas picks what a loop of single
+        # solves picks
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        values = np.column_stack([X[:, 0] + rng.standard_normal(n), X])
+        cv_folds = regression._cv_folds(values, 5, seed)
+        errs = []
+        for gram, c, block in zip(*cv_folds):
+            held_y, held_x = values[block, 0], values[block, 1:]
+            errs.append([np.mean((held_y - held_x @ np.linalg.solve(
+                gram + kap * np.eye(p), c)) ** 2)
+                for kap in regression._RIDGE_KAPPAS])
+        expected = regression._RIDGE_KAPPAS[np.argmin(np.mean(errs, axis=0))]
+        assert regression._ridge_kappa_by_cv(values, cv_folds) == expected
 
     def test_requires_ten_rows(self):
         rng = np.random.default_rng(45)
