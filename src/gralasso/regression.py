@@ -514,18 +514,17 @@ def screen_top_k(Z, k: int) -> np.ndarray:
 _RIDGE_KAPPAS = np.logspace(-3.0, 1.0, 9)
 
 
-def _ridge_kappa_by_cv(values, cv_folds):
+def _ridge_kappa_by_cv(values, folds, seed):
     """Pick the ridge penalty for the initial estimate from `_RIDGE_KAPPAS`
-    by pseudo-data CV over the `_cv_folds` stack: one stacked solve scores
-    every fold and kappa."""
-    grams, cs, blocks = cv_folds
+    by pseudo-data CV: one solve over the fold stack per kappa."""
+    grams, cs, blocks = _cv_folds(values, folds, seed)
     eye = np.eye(grams.shape[1])
-    betas = np.linalg.solve(grams[:, None] + _RIDGE_KAPPAS[:, None, None] * eye,
-                            cs[:, None, :, None])[..., 0]
-    errs = [np.mean((values[block, :1] - values[block, 1:] @ b.T) ** 2,
-                    axis=0)
-            for block, b in zip(blocks, betas)]
-    return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=0)))])
+    errs = []
+    for kap in _RIDGE_KAPPAS:
+        betas = np.linalg.solve(grams + kap * eye, cs[..., None])[..., 0]
+        errs.append([np.mean((values[block, 0] - values[block, 1:] @ b) ** 2)
+                     for block, b in zip(blocks, betas)])
+    return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=1)))])
 
 
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
@@ -561,7 +560,6 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
         raise ValueError("lambda must be finite and nonnegative")
     n, p = Z.n, Z.p
-    cv_folds = None  # built once, when the ridge kappa or the CV needs it
 
     summaries = column_summaries(Z, estimator)
     scores = score_matrix(Z, kind)
@@ -583,11 +581,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
                     raise
                 mode = "ridge"
         if mode == "ridge":
-            if kappa == "cv":
-                cv_folds = _cv_folds(scores, folds, seed)
-                kap = _ridge_kappa_by_cv(scores, cv_folds)
-            else:
-                kap = float(kappa)
+            kap = (_ridge_kappa_by_cv(scores, folds, seed)
+                   if kappa == "cv" else float(kappa))
             beta_init = initial_estimate_ridge(R, kap)
             wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
     else:
@@ -596,21 +591,19 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     if fixed_lambda is None:
         ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
         grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
-        # the folds and the full-data path, traced in lockstep; the fold
-        # stack is let go so that only the joint one is held (MBs at p = 200)
-        grams, cs, blocks = cv_folds or _cv_folds(scores, folds, seed)
-        cv_folds = None
+        # the folds and the full-data path, traced in lockstep
+        grams, cs, blocks = _cv_folds(scores, folds, seed)
         grams = np.concatenate([grams, R.xx[None]])
         cs = np.concatenate([cs, R.xy[None]])
         coefs, pieces, conv = _solve_path(grams, cs, wobj.weights, grid, n,
                                           tol)
         cv = _cv_curve(scores, blocks, grid, coefs[:-1], conv[:-1])
         idx = cv.idx_1se if rule == "1se" else cv.idx_min
+        # a copy, so that the fit does not hold the fold rows
+        path = _lasso_path(grid, coefs[-1].copy(), pieces[-1], conv[-1])
     else:
         grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
-        coefs, pieces, conv = _solve_path(R.xx[None], R.xy[None],
-                                          wobj.weights, grid, n, tol)
-    path = _lasso_path(grid, coefs[-1], pieces[-1], conv[-1])
+        path = fit_path(R, wobj, grid, n, tol=tol)
     beta, intercept = destandardize(path.coefficients[idx], summaries)
     return SelectionFit(beta=beta, intercept=intercept,
                         support=path.supports[idx], lambda_=float(grid[idx]),

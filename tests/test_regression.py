@@ -976,20 +976,19 @@ class TestFitGrAlasso:
     @pytest.mark.parametrize("n, p, seed", [(50, 30, 53), (40, 60, 54),
                                             (80, 10, 55)])
     def test_ridge_kappa_matches_the_per_fold_loop(self, n, p, seed):
-        # one stacked solve over folds x kappas picks what a loop of single
-        # solves picks
+        # one solve over the fold stack per kappa picks what a loop of
+        # single solves picks
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, p))
         values = np.column_stack([X[:, 0] + rng.standard_normal(n), X])
-        cv_folds = regression._cv_folds(values, 5, seed)
         errs = []
-        for gram, c, block in zip(*cv_folds):
+        for gram, c, block in zip(*regression._cv_folds(values, 5, seed)):
             held_y, held_x = values[block, 0], values[block, 1:]
             errs.append([np.mean((held_y - held_x @ np.linalg.solve(
                 gram + kap * np.eye(p), c)) ** 2)
                 for kap in regression._RIDGE_KAPPAS])
         expected = regression._RIDGE_KAPPAS[np.argmin(np.mean(errs, axis=0))]
-        assert regression._ridge_kappa_by_cv(values, cv_folds) == expected
+        assert regression._ridge_kappa_by_cv(values, 5, seed) == expected
 
     def test_requires_ten_rows(self):
         rng = np.random.default_rng(45)
