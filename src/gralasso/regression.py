@@ -26,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CorrelationMatrix, _pearson_of_values, score_matrix
+from .covariance import (CorrelationMatrix, _pearson_of_values,
+                         _pearson_scores, _rank_scores, score_matrix)
 from .data import DataMatrix, as_table
 # `normal_scores` is not called here, but the benchmark's tracer wraps
 # `regression.normal_scores`, so the name stays bound
-from .robust_stats import RobustSummary, normal_scores, robust_summary
+from .robust_stats import (RobustSummary, _medians, _midranks, _qn_of_sorted,
+                           _robust_summaries, _sorted_rows, normal_scores)
 
 __all__ = [
     "AdaptiveWeights",
@@ -142,23 +144,58 @@ def column_summaries(Z, estimator: str = "gr"):
     """Per-column location/scale pairs, response first.
 
     Robust estimators use median and Qn; the Pearson baseline uses mean and
-    standard deviation, matching its own standardisation convention.
+    standard deviation, matching its own standardisation convention. Both
+    are taken over the whole table: up to n = 200 rows the transposed table
+    is sorted once, each median is read off its middle columns and each Qn
+    off its rows (`robust_stats._robust_summaries`); the Pearson pairs
+    reduce the rows of the contiguous transposed table, as np.mean and
+    np.std(ddof=1) reduce a column.
     """
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
         raise ValueError(f"unknown estimator {estimator!r}")
     values, names = as_table(Z)
+    if values.shape[0] < 2:
+        raise ValueError("need at least two observations")
+    if kind == "pearson":
+        cols = np.ascontiguousarray(values.T)
+        return _summaries(cols.mean(axis=1), cols.std(axis=1, ddof=1), names)
+    return _summaries(*_robust_summaries(values), names)
+
+
+def _summaries(locations, scales, names):
+    """RobustSummary list of per-column arrays; a zero scale raises, naming
+    the first such column."""
     out = []
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        if kind == "pearson":
-            summ = RobustSummary(float(np.mean(col)), float(np.std(col, ddof=1)))
-        else:
-            summ = robust_summary(col)
+    for name, loc, scale in zip(names, locations.tolist(), scales.tolist()):
+        summ = RobustSummary(loc, scale)
         if summ.scale <= 0.0:
-            raise ValueError(f"zero scale for column {names[j]!r}")
+            raise ValueError(f"zero scale for column {name!r}")
         out.append(summ)
     return out
+
+
+def _summaries_and_scores(Z, kind):
+    """`column_summaries` and `score_matrix` of a fit's table in one pass:
+    the Pearson kind shares the means and sds, and a rank kind the argsort
+    and sorted columns that its mid-ranks are built from."""
+    values, names = Z.values, Z.columns
+    if kind == "pearson":
+        cols = np.ascontiguousarray(values.T)
+        mean, sd = cols.mean(axis=1), cols.std(axis=1, ddof=1)
+        return (_summaries(mean, sd, names),
+                _pearson_scores(values, cols, mean, sd))
+    order, xs = _sorted_rows(np.ascontiguousarray(values.T))
+    loc = _medians(xs)
+    # argsort and np.sort may order -0.0 and +0.0 differently, so a zero
+    # median is read off np.sort, as `column_summaries` reads it
+    zero = np.flatnonzero(loc == 0.0)
+    if zero.size:
+        loc[zero] = _medians(np.sort(values[:, zero].T, axis=1))
+    summaries = _summaries(loc, _qn_of_sorted(xs), names)
+    ranks = _midranks(values, order, xs)
+    del order, xs  # as in `score_matrix`, freed before the scores are made
+    return summaries, _rank_scores(ranks, kind)
 
 
 def initial_estimate_direct(cov) -> np.ndarray:
@@ -261,9 +298,12 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     to the round's largest by distinct finite-weight inactive coordinates
     with identity rows and columns and a zero right-hand side, so their u
     and v are 0. A stack of one is never padded and rounds as a single
-    problem would. Each round writes the grid points its pieces hold, and
-    one KKT pass per problem certifies its whole path; `pieces[f, i]` counts
-    problem f's pieces started since grid point i - 1.
+    problem would. Each round only records its pieces, active-set wide
+    (live rows, padded indices, u and v, the lambdas where they start and
+    end); after the rounds one vectorised pass writes every grid point off
+    its piece (`_write_pieces`), and one KKT pass per problem certifies its
+    whole path. `pieces[f, i]` counts problem f's pieces started since grid
+    point i - 1.
     """
     if not (np.isfinite(grid).all() and (grid >= 0.0).all()
             and (np.diff(grid) < 0.0).all()):
@@ -272,14 +312,14 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     finite = np.isfinite(wv)
     if (np.diagonal(grams, axis1=1, axis2=2)[:, finite] <= 0.0).any():
         raise ValueError("degenerate predictor variance")
+    off_key = 2 - finite  # argsort key off the active set: +inf weights last
     n_prob, p = cs.shape
     slack = 10.0 * tol * n
     c2n = 2.0 * n * cs
     coord = np.arange(p)
     sign = np.zeros((n_prob, p))  # active coordinates carry their sign
     lam = np.full(n_prob, np.inf)
-    coefs = np.zeros((n_prob, grid.size, p))
-    pieces = np.zeros((n_prob, grid.size), dtype=int)
+    rounds = []
     # with no predictors every grid point holds the empty solution
     live = np.arange(n_prob if p else 0)
     while live.size:
@@ -287,7 +327,7 @@ def _solve_path(grams, cs, wv, grid, n, tol):
         on = sg != 0.0
         size = on.sum(axis=1)
         # actives in ascending order, then finite-weight inactive pads
-        idx = np.argsort(np.where(on, 0, 2 - finite), axis=1,
+        idx = np.argsort(np.where(on, 0, off_key), axis=1,
                          kind="stable")[:, :size.max()]
         act = coord[:idx.shape[1]] < size[:, None]
         at = np.arange(live.size)
@@ -296,8 +336,9 @@ def _solve_path(grams, cs, wv, grid, n, tol):
                          grams[live[:, None, None], idx[:, :, None],
                                idx[:, None, :]],
                          np.eye(idx.shape[1]))
-        rhs = np.stack([np.where(act, cs[live[:, None], idx], 0.0),
-                        wv[idx] * s_a / (2.0 * n)], axis=2)
+        rhs = np.empty(idx.shape + (2,))
+        rhs[..., 0] = np.where(act, cs[live[:, None], idx], 0.0)
+        rhs[..., 1] = wv[idx] * s_a / (2.0 * n)
         # pads solve to +-0; +0 keeps -0.0 out of the coefficients
         uv = np.where(act[..., None], np.linalg.solve(block, rhs), 0.0)
         # G_:A gathered as the rows of G' and transposed back, the layout of
@@ -313,25 +354,62 @@ def _solve_path(grams, cs, wv, grid, n, tol):
         kink[(kink < 0.0) | (kink >= here)] = 0.0
         s = np.sign(a)
         room = wv - s * d
-        join = finite & ~on & (np.abs(a) > slack) & (room > 0.0)
+        mag = np.abs(a)
+        join = finite & ~on & (mag > slack) & (room > 0.0)
         kink = np.where(join, np.minimum(np.divide(
-            np.abs(a), room, out=np.zeros(a.shape), where=join), here), kink)
+            mag, room, out=np.zeros(a.shape), where=join), here), kink)
         k = np.argmax(kink, axis=1)
-        lam[live] = kink[at, k]
-        # each piece starts at the first grid point below `here` and holds
-        # the grid points down to its kink
-        below = grid < here
-        pieces[live, grid.size - below.sum(axis=1)] += 1
-        r, i = np.nonzero(below & (grid >= lam[live, None]))
-        coefs[live[r, None], i[:, None], idx[r]] = (
-            u[r] - grid[i, None] * v[r])
+        end = kink[at, k]
+        lam[live] = end
+        # idx.ravel() copies the slice, so the full-width argsort is freed
+        rounds.append((live, here[:, 0], end, idx.ravel(), uv))
         # k leaves or joins; once no grid point is left the change goes unused
         sign[live, k] = np.where(on[at, k], 0.0, s[at, k])
-        live = live[lam[live] > grid[-1]]
+        live = live[end > grid[-1]]
+    coefs, pieces = _write_pieces(rounds, grid, n_prob, p)
+    del rounds  # not held through the certificates
     # one KKT pass per problem: a pass over the whole stack holds several
     # (F, G, p) temporaries, MBs of peak memory at p = 200
     return coefs, pieces, np.array(
         [_kkt(g, c, grid, wv, slack, n, b) for g, c, b in zip(grams, cs, coefs)])
+
+
+def _write_pieces(rounds, grid, n_prob, p):
+    """Coefficients (F, G, p) and piece counts (F, G) from the pieces the
+    rounds of `_solve_path` recorded: per round its live problems, the
+    lambdas where their pieces start and end, the padded active indices and
+    the solved [u v]. A piece holds the grid points below its start down to
+    its end, and writes u - lambda v at each of them."""
+    coefs = np.zeros((n_prob, grid.size, p))
+    if not rounds:
+        return coefs, np.zeros((n_prob, grid.size), dtype=int)
+    live, here, end, idx, uv = zip(*rounds)
+    prob = np.concatenate(live)
+    neg = -grid  # ascending, so both ends are found by one search each
+    start = np.searchsorted(neg, -np.concatenate(here), side="right")
+    stop = np.searchsorted(neg, -np.concatenate(end), side="right")
+    pieces = np.bincount(prob * grid.size + start,
+                         minlength=n_prob * grid.size).reshape(n_prob, -1)
+    # the records are ragged: piece q holds w[q] entries from o[q] on
+    w = np.repeat([b.shape[1] for b in uv], [b.shape[0] for b in uv])
+    o = np.cumsum(w) - w
+    idx = np.concatenate(idx)
+    uv = np.concatenate([b.reshape(-1, 2) for b in uv])
+    # one entry per (grid point, padded active coordinate) of each piece
+    size = stop - start
+    q = np.repeat(np.arange(prob.size), size)
+    wq = w[q]
+    i = np.repeat(_ranges(start, size), wq)
+    pos = _ranges(o[q], wq)
+    coefs[np.repeat(prob[q], wq), i, idx[pos]] = (
+        uv[pos, 0] - grid[i] * uv[pos, 1])
+    return coefs, pieces
+
+
+def _ranges(starts, counts):
+    """The ranges starts[k], ..., starts[k] + counts[k] - 1, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
 
 
 def weighted_lasso_cd(gram, c, w, lam: float, n: int,
@@ -561,8 +639,7 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         raise ValueError("lambda must be finite and nonnegative")
     n, p = Z.n, Z.p
 
-    summaries = column_summaries(Z, estimator)
-    scores = score_matrix(Z, kind)
+    summaries, scores = _summaries_and_scores(Z, kind)
     R = CorrelationMatrix(_pearson_of_values(scores, Z.columns), kind, Z.columns)
 
     low_dim = p < n / 2

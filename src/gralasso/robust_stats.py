@@ -1,8 +1,11 @@
 """Univariate robust estimators: median, Qn scale, ranks and normal scores.
 
 These are the column-level building blocks behind the rank-based correlation
-estimators. All functions validate their input (no NaN or infinite entries)
-and are pure, so concurrent use needs no locking.
+estimators. The private helpers work on whole tables, one column per row of
+the sorted transpose (`_robust_summaries`, `_medians`, `_qn_of_sorted`,
+`_sorted_rows`, `_midranks`), and the public functions are their calls on a
+one-column table. The public functions validate their input (no NaN or
+infinite entries); all are pure, so concurrent use needs no locking.
 """
 
 import math
@@ -60,12 +63,7 @@ def _as_sample(x, min_n: int = 1, min_n_message: str | None = None) -> np.ndarra
 def median(x) -> float:
     """Sample median: middle order statistic, or the average of the two
     middle order statistics for even n."""
-    return _sorted_median(np.sort(_as_sample(x)))
-
-
-def _sorted_median(xs: np.ndarray) -> float:
-    m = xs.size // 2
-    return float(xs[m]) if xs.size % 2 else float((xs[m - 1] + xs[m]) / 2)
+    return float(_medians(np.sort(_as_sample(x))[None])[0])
 
 
 def qn_scale(x) -> float:
@@ -73,15 +71,62 @@ def qn_scale(x) -> float:
     difference, with h = floor(n/2) + 1 and k = C(h, 2).
 
     Robust (50% breakdown) and, unlike the MAD, efficient under normality.
-    The order statistic is selected exactly in O(n log n) time on the sorted
-    sample (`_qn_kth_diff`): it is always a realised pairwise difference,
-    equal bit for bit to sorting all n(n-1)/2 of them.
+    The order statistic is always a realised pairwise difference, equal bit
+    for bit to sorting all n(n-1)/2 of them (`_qn_of_sorted`).
     """
     arr = _as_sample(x, min_n=2, min_n_message="need at least two observations")
-    # robust_summary passes its sorted copy; anything else is sorted here
-    xs = arr if np.all(arr[:-1] <= arr[1:]) else np.sort(arr)
-    h = xs.size // 2 + 1
-    return QN_CONSISTENCY * _qn_kth_diff(xs, h * (h - 1) // 2)
+    return float(_qn_of_sorted(np.sort(arr)[None])[0])
+
+
+def _medians(xs: np.ndarray) -> np.ndarray:
+    """Median of each row of a table whose rows are sorted."""
+    m = xs.shape[1] // 2
+    return xs[:, m].copy() if xs.shape[1] % 2 else (xs[:, m - 1] + xs[:, m]) / 2
+
+
+def _lists_all_pairs(n: int) -> bool:
+    """Whether Qn lists all n(n-1)/2 pairs of n values (n <= 200)."""
+    return n * (n - 1) // 2 <= max(n, _QN_BAND)
+
+
+def _robust_summaries(values: np.ndarray):
+    """(medians, Qn scales) of the columns of a table of n >= 2 rows.
+
+    Up to the listing band the transposed table is sorted once. Longer
+    columns are sorted one at a time: a sorted copy of the whole table
+    beside Qn's selection passes would nearly double the peak memory.
+    """
+    if values.shape[1] == 1 or _lists_all_pairs(values.shape[0]):
+        xs = np.sort(values.T, axis=1)
+        return _medians(xs), _qn_of_sorted(xs)
+    loc, scale = zip(*(_robust_summaries(col[:, None]) for col in values.T))
+    return np.concatenate(loc), np.concatenate(scale)
+
+
+def _qn_of_sorted(xs: np.ndarray) -> np.ndarray:
+    """Qn of each row of a table whose rows are sorted (n >= 2 columns).
+
+    Up to the listing band every row lists its n(n-1)/2 pairwise
+    differences from one shared set of pair indices and takes the k-th
+    with a partition; one listing of the whole table is slower at n = 100,
+    bound by memory rather than by calls. Longer rows select the k-th
+    difference by counting passes (`_qn_kth_diff`).
+    """
+    n = xs.shape[1]
+    h = n // 2 + 1
+    k = h * (h - 1) // 2
+    kth = np.empty(xs.shape[0])
+    if _lists_all_pairs(n):
+        lo, hi = np.triu_indices(n, 1)
+        for r, row in enumerate(xs):
+            diff = row.take(hi)
+            diff -= row.take(lo)
+            diff.partition(k - 1)
+            kth[r] = diff[k - 1]
+    else:
+        for r, row in enumerate(xs):
+            kth[r] = _qn_kth_diff(row, k)
+    return QN_CONSISTENCY * kth
 
 
 def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
@@ -98,8 +143,8 @@ def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
     costs O(n log n) and keeps about 4/sqrt(n) of the candidates: 20,000
     values take three rounds of two passes. Once at most max(n, _QN_BAND)
     candidates remain they are listed and the answer is taken with
-    np.partition; at n <= 200 that is all pairs, and no round runs. Rows are
-    cut on the computed differences, never on xs - t, so the answer is
+    np.partition (`_qn_of_sorted` lists all pairs itself at n <= 200). Rows
+    are cut on the computed differences, never on xs - t, so the answer is
     always a realised difference.
     """
     n = xs.size
@@ -173,23 +218,29 @@ def _qn_cut(xs, lo, hi, t, strict):
 
 def ranks(x) -> np.ndarray:
     """Ranks in 1..n; tied values share their mid-rank average."""
-    return _midranks(_as_sample(x)[:, None])[:, 0]
+    values = _as_sample(x)[:, None]
+    return _midranks(values, *_sorted_rows(values.T))[:, 0]
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Mid-ranks of each column of a float table, in its memory layout: one
-    argsort of the transposed rows, then running maxima and reversed running
-    minima carry each tie block's start a + 1 and end b to all its entries,
-    for the exact mid-rank 0.5 (a + 1 + b)."""
-    n, m = values.shape
-    cols = np.ascontiguousarray(values.T)
+def _sorted_rows(cols: np.ndarray):
+    """(order, xs): the argsort of each row of a float table and the sorted
+    rows; `cols` is a table's transpose, best made contiguous."""
     order = np.argsort(cols, axis=1)
-    cols = np.take_along_axis(cols, order, axis=1)
+    return order, np.take_along_axis(cols, order, axis=1)
+
+
+def _midranks(values: np.ndarray, order: np.ndarray,
+              xs: np.ndarray) -> np.ndarray:
+    """Mid-ranks of each column of a float table, in its memory layout,
+    from its `_sorted_rows` (xs is overwritten): running maxima and reversed
+    running minima carry each tie block's start a + 1 and end b to all its
+    entries, for the exact mid-rank 0.5 (a + 1 + b)."""
+    m, n = xs.shape
     start = np.ones((m, n), dtype=bool)
-    np.not_equal(cols[:, 1:], cols[:, :-1], out=start[:, 1:])
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=start[:, 1:])
     end = np.roll(start, -1, axis=1)  # start[:, 0] is True: rows end blocks
     pos = np.arange(1.0, n + 1)
-    lo = np.multiply(start, pos, out=cols)
+    lo = np.multiply(start, pos, out=xs)
     np.maximum.accumulate(lo, axis=1, out=lo)
     hi = np.where(end, pos, float(n))
     np.minimum.accumulate(hi[:, ::-1], axis=1, out=hi[:, ::-1])
@@ -239,29 +290,27 @@ _AS241_FAR = (
 )
 
 
-def _rational(coefs, r):
+def _rational(coefs, r, out=None):
+    """num(r) / den(r) by Horner's rule, accumulated in place (the numerator
+    in `out`, which must not be r)."""
     num, den = coefs
-    top, bottom = num[-1], den[-1]
-    for a, b in zip(num[-2::-1], den[-2::-1]):
-        top = top * r + a
-        bottom = bottom * r + b
-    return top / bottom
+    top = np.multiply(r, num[-1], out=out)
+    bottom = r * den[-1]
+    top += num[-2]
+    bottom += den[-2]
+    for a, b in zip(num[-3::-1], den[-3::-1]):
+        top *= r
+        top += a
+        bottom *= r
+        bottom += b
+    top /= bottom
+    return top
 
 
-def _as241_lower(p: np.ndarray) -> np.ndarray:
-    # lower half only (p <= 0.5): std_normal_quantile reflects the rest
-    z = np.empty_like(p)
-    q = p - 0.5
-    central = q >= -0.425
-    qc = q[central]
-    z[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
-    r = np.sqrt(-np.log(p[~central]))
-    far = r > 5.0  # p < exp(-25), never a normal score below n = 7e10
-    r[~far] = _rational(_AS241_NEAR, r[~far] - 1.6)
-    if far.any():
-        r[far] = _rational(_AS241_FAR, r[far] - 5.0)
-    z[~central] = -r
-    return z
+def _lower_half(p: np.ndarray) -> np.ndarray:
+    """p with its upper half reflected through the exact complement 1 - p,
+    in place."""
+    return np.subtract(1.0, p, out=p, where=p > 0.5)
 
 
 def std_normal_quantile(p):
@@ -272,22 +321,53 @@ def std_normal_quantile(p):
     arguments are reflected through the exact complement 1 - p, so the
     p <-> 1-p symmetry is exact. Accepts a scalar or an array and matches
     the input shape.
+
+    The result array doubles as working memory: the central region's
+    numerator is accumulated in it, and q = p - 1/2 and the tails are
+    recomputed from p afterwards, so that at most about three times the
+    input's size is held at once.
     """
     scalar = np.isscalar(p)
     arr = np.asarray(p, dtype=float)
-    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("probability out of range")
-    flat = arr.reshape(-1) if arr.ndim else arr.reshape(1)
-    flip = flat > 0.5
-    x = _as241_lower(np.where(flip, 1.0 - flat, flat))
-    x = np.where(flip, -x, x)
+    flat = arr.reshape(-1)
+    x = _lower_half(flat.copy())
+    x -= 0.5
+    central = x >= -0.425
+    # central region: q * num(t) / den(t) with t = 0.180625 - q * q
+    t = x[central]
+    t *= t
+    np.subtract(0.180625, t, out=t)
+    ratio = _rational(_AS241_CENTRAL, t, out=x[:t.size])
+    del t
+    q = _lower_half(flat[central])
+    q -= 0.5
+    q *= ratio
+    x[central] = q
+    del q
+    # tails: with r = sqrt(-log(p)), near (r <= 5) and far (p < exp(-25),
+    # never a normal score below n = 7e10)
+    tail = ~central
+    r = _lower_half(flat[tail])
+    np.log(r, out=r)
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)
+    far = r > 5.0
+    r[~far] = _rational(_AS241_NEAR, r[~far] - 1.6)
+    if far.any():
+        r[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    np.negative(r, out=r)
+    x[tail] = r
+    np.negative(x, out=x, where=flat > 0.5)
     if scalar:
         return float(x[0])
     return x.reshape(arr.shape)
 
 
 def robust_summary(x) -> RobustSummary:
-    """Median and Qn of a sample, bundled for standardisation; the sample
-    is sorted once for both."""
-    xs = np.sort(_as_sample(x, min_n=2, min_n_message="need at least two observations"))
-    return RobustSummary(location=_sorted_median(xs), scale=qn_scale(xs))
+    """Median and Qn of a sample, bundled for standardisation: the
+    summaries of a one-column table, sorted once for both."""
+    loc, scale = _robust_summaries(_as_sample(
+        x, min_n=2, min_n_message="need at least two observations")[:, None])
+    return RobustSummary(location=float(loc[0]), scale=float(scale[0]))

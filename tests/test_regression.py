@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gralasso.regression import (
     screen_top_k,
     weighted_lasso_cd,
 )
-from gralasso.robust_stats import RobustSummary, normal_scores
+from gralasso.robust_stats import RobustSummary, normal_scores, robust_summary
 
 from oracles import (
     cd_reference,
@@ -37,8 +38,10 @@ from oracles import (
     kkt_by_point,
     ols_fit,
     penalized_objective_naive,
+    qn_by_sorted_differences,
     soft_threshold,
     solve_path_reference,
+    write_pieces_per_round,
 )
 
 
@@ -381,19 +384,88 @@ def _lasso_stacks(draw):
     return np.array(grams)[order], np.array(cs)[order], w, grid, n
 
 
-def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7):
-    """Every row of a stacked run has the pieces, certificates and supports
-    of its stack-of-one run, and coefficients within 1e-12 of its largest."""
-    coefs, pieces, ok = regression._solve_path(grams, cs, w, grid, n, tol)
-    assert coefs.shape == (len(cs), grid.size, cs.shape[1])
+def _traced_rounds(grams, cs, w, grid, n, tol=1e-7):
+    """`_solve_path`'s outputs and the records its rounds hand to
+    `_write_pieces`."""
+    seen = []
+    real = regression._write_pieces
+
+    def spy(rounds, *args):
+        seen.append(list(rounds))
+        return real(rounds, *args)
+
+    with mock.patch.object(regression, "_write_pieces", spy):
+        out = regression._solve_path(grams, cs, w, grid, n, tol)
+    return out, seen[0]
+
+
+def _kink_grid(rounds, grid):
+    """`grid` with every kink of the recorded pieces at or above its last
+    point added, so that grid points fall exactly on kinks; the path down
+    to the last point stays the same."""
+    ends = np.concatenate([end for _, _, end, _, _ in rounds])
+    points = np.concatenate([grid, ends[ends >= grid[-1]]])
+    return np.unique(points)[::-1].copy()
+
+
+def _assert_write_matches_per_round(grams, cs, w, grid, n, tol=1e-7):
+    """The coefficients (signs of zeros included) and piece counts of a
+    stacked run are those the per-round write makes of its records, and its
+    certificates those of the reference coefficients; returns the run's
+    outputs and records."""
+    (coefs, pieces, ok), rounds = _traced_rounds(grams, cs, w, grid, n, tol)
+    ref, ref_pieces = write_pieces_per_round(rounds, grid, *cs.shape)
+    assert np.array_equal(coefs, ref)
+    assert np.array_equal(np.signbit(coefs), np.signbit(ref))
+    assert np.array_equal(pieces, ref_pieces)
     for f in range(len(cs)):
-        one = regression._solve_path(grams[f:f + 1], cs[f:f + 1], w, grid, n,
-                                     tol)
+        assert np.array_equal(ok[f], regression._kkt(
+            grams[f], cs[f], grid, w, 10.0 * tol * n, n, ref[f]))
+    return (coefs, pieces, ok), rounds
+
+
+def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7,
+                                     kinks=False):
+    """Every row of a stacked run has the pieces, certificates and supports
+    of its stack-of-one run, and coefficients within 1e-12 of its largest;
+    each run writes its records as the per-round write does. With `kinks`,
+    the write is also checked on grids through the exact kinks of each run
+    (a stacked row's kinks may differ from its stack-of-one run's in the
+    last bits, so each run gets its own)."""
+    stacks = [slice(None)] + [slice(f, f + 1) for f in range(len(cs))]
+    runs = [_assert_write_matches_per_round(grams[rows], cs[rows], w, grid,
+                                            n, tol) for rows in stacks]
+    coefs, pieces, ok = runs[0][0]
+    assert coefs.shape == (len(cs), grid.size, cs.shape[1])
+    for f, (one, _) in enumerate(runs[1:]):
         assert np.array_equal(pieces[f], one[1][0])
         assert np.array_equal(ok[f], one[2][0])
         assert np.array_equal(coefs[f] != 0.0, one[0][0] != 0.0)
         scale = np.max(np.abs(one[0][0]), initial=0.0)
         assert np.all(np.abs(coefs[f] - one[0][0]) <= 1e-12 * scale)
+    if kinks:
+        for rows, (_, rounds) in zip(stacks, runs):
+            _assert_write_matches_per_round(grams[rows], cs[rows], w,
+                                            _kink_grid(rounds, grid), n, tol)
+
+
+def _assert_matches_the_reference_kernel(gram, c, w, grid, n, variant):
+    """A stack of one equals the reference kernel bit for bit, signs of
+    zeros included, but for exact kink ties across sides."""
+    got = [x[0] for x in regression._solve_path(
+        gram[None], c[None], w, grid, n, 1e-7)]
+    ref = solve_path_reference(gram, c, w, grid, n, 1e-7)
+    if all(np.array_equal(x, y) for x, y in zip(got, ref)):
+        assert np.array_equal(np.signbit(got[0]), np.signbit(ref[0]))
+        return
+    # only exact kink ties, between a predictor and its sign-flipped
+    # copy, may go another way: to the lower index, not + joins first
+    assert variant == "flipped"
+    assert got[2].all() and ref[2].all()
+    for lam, b, b_ref in zip(grid, got[0], ref[0]):
+        obj = penalized_objective_naive(gram, c, w, lam, n, b)
+        ref_obj = penalized_objective_naive(gram, c, w, lam, n, b_ref)
+        assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
 
 
 class TestLockstepPaths:
@@ -403,7 +475,23 @@ class TestLockstepPaths:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_lasso_stacks())
     def test_rows_match_stacks_of_one(self, inst):
-        _assert_rows_match_stacks_of_one(*inst)
+        _assert_rows_match_stacks_of_one(*inst, kinks=True)
+
+    def test_rows_finishing_in_different_rounds(self):
+        # one problem at shrinking c: smaller c puts fewer kinks above the
+        # grid's end, and c = 0 stops after one piece; also on a grid whose
+        # points are the exact kinks
+        rng = np.random.default_rng(64)
+        gram, c = _unit_gram(rng, 40, 8, False)
+        grams = np.array([gram] * 4)
+        cs = np.array([c, 0.3 * c, 0.1 * c, 0.0 * c])
+        w = rng.uniform(0.2, 5.0, 8)
+        grid = lambda_grid(gram, c, w, 40, n_lambda=30, ratio=0.02)
+        _, rounds = _traced_rounds(grams, cs, w, grid, 40)
+        last = [max(r for r, rec in enumerate(rounds) if f in rec[0])
+                for f in range(4)]
+        assert last[3] == 0 and len(set(last)) == 4
+        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 40, kinks=True)
 
     def test_no_predictors(self):
         coefs, pieces, ok = regression._solve_path(
@@ -520,19 +608,15 @@ class TestActiveSetSolver:
     @given(_path_instances())
     def test_matches_the_reference_kernel(self, inst):
         gram, c, w, grid, n, variant = inst
-        got = [x[0] for x in regression._solve_path(
-            gram[None], c[None], w, grid, n, 1e-7)]
-        ref = solve_path_reference(gram, c, w, grid, n, 1e-7)
-        if all(np.array_equal(x, y) for x, y in zip(got, ref)):
+        _assert_matches_the_reference_kernel(gram, c, w, grid, n, variant)
+        if variant == "flipped":
+            # at a cross-side tie the kernels take different pieces, and a
+            # grid point on that kink can leave the reference uncertified
             return
-        # only exact kink ties, between a predictor and its sign-flipped
-        # copy, may go another way: to the lower index, not + joins first
-        assert variant == "flipped"
-        assert got[2].all() and ref[2].all()
-        for lam, b, b_ref in zip(grid, got[0], ref[0]):
-            obj = penalized_objective_naive(gram, c, w, lam, n, b)
-            ref_obj = penalized_objective_naive(gram, c, w, lam, n, b_ref)
-            assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
+        # grid points exactly on the kinks: the piece ending there holds them
+        _, rounds = _traced_rounds(gram[None], c[None], w, grid, n)
+        _assert_matches_the_reference_kernel(
+            gram, c, w, _kink_grid(rounds, grid), n, variant)
 
     def test_well_conditioned_solve_takes_few_rounds(self):
         # pieces of the exact path against sweeps of the reference
@@ -723,6 +807,112 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="folds"):
             cross_validate(np.zeros((10, 3)), np.ones(2), np.array([1.0]),
                            folds=1)
+
+
+@st.composite
+def _summary_tables(draw):
+    """Tables for the whole-table summaries: n odd or even, on both sides
+    of Qn's listing band (200 and 201 rows), columns continuous, heavy-
+    tailed, rounded (tied), 0/1 dummies or holding signed zeros, in C or
+    Fortran memory order."""
+    n = draw(st.sampled_from([2, 3, 10, 11, 100, 101, 200, 201])
+             | st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(2, 5))):
+        style = draw(st.sampled_from(["normal", "cauchy", "rounded", "dummy",
+                                      "zeros"]))
+        if style == "normal":
+            x = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+        elif style == "cauchy":
+            x = rng.standard_cauchy(n)
+        elif style == "rounded":
+            x = np.round(rng.standard_normal(n), draw(st.integers(0, 1)))
+        elif style == "dummy":
+            x = (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(float)
+        else:
+            x = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], n)
+        cols.append(x)
+    values = np.column_stack(cols)
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
+def _per_column_summaries(values, estimator):
+    """(locations, scales) column by column: the median of np.sort and the
+    Qn of all sorted differences, each equal to `robust_summary`'s, or
+    np.mean and np.std(ddof=1)."""
+    locs, scales = [], []
+    for col in values.T:
+        if estimator == "pearson":
+            loc, scale = float(np.mean(col)), float(np.std(col, ddof=1))
+        else:
+            xs, m = np.sort(col), col.size // 2
+            loc = float(xs[m] if col.size % 2 else (xs[m - 1] + xs[m]) / 2)
+            scale = qn_by_sorted_differences(col)
+            one = robust_summary(col)
+            # a zero Qn may be a realised -0.0; such a column raises anyway
+            assert _same_bits(one.location, loc) and one.scale == scale
+        locs.append(loc)
+        scales.append(scale)
+    return locs, scales
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestColumnSummaries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_summary_tables())
+    def test_whole_table_matches_the_per_column_summaries(self, values):
+        names = tuple(f"col{j}" for j in range(values.shape[1]))
+        for estimator in ("gr", "pearson"):
+            locs, scales = _per_column_summaries(values, estimator)
+            zero = [j for j, s in enumerate(scales) if s <= 0.0]
+            if zero:
+                with pytest.raises(ValueError) as err:
+                    column_summaries(values, estimator)
+                assert str(err.value) == f"zero scale for column {names[zero[0]]!r}"
+                continue
+            got = column_summaries(values, estimator)
+            assert _same_bits([s.location for s in got], locs)
+            assert _same_bits([s.scale for s in got], scales)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_summary_tables())
+    def test_fit_stage_matches_the_public_calls(self, values):
+        # a fit shares one sort (rank kinds) or one mean/sd pass (Pearson)
+        # between its summaries and its scores
+        Z = DataMatrix(values, tuple(f"c{j}" for j in range(values.shape[1])))
+        for estimator, kind in (("gr", "gaussian-rank"), ("spearman", "spearman"),
+                                ("pearson", "pearson")):
+            try:
+                summaries = column_summaries(Z, estimator)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    regression._summaries_and_scores(Z, kind)
+                assert str(err.value) == str(exc)
+                continue
+            got, scores = regression._summaries_and_scores(Z, kind)
+            assert _same_bits([s.location for s in got],
+                              [s.location for s in summaries])
+            assert _same_bits([s.scale for s in got],
+                              [s.scale for s in summaries])
+            ref = score_matrix(Z, kind)
+            assert _same_bits(scores, ref) and scores.strides == ref.strides
+
+    def test_summaries_of_a_constant_column_name_it(self):
+        values = np.column_stack([np.arange(12.0), np.ones(12),
+                                  np.zeros(12)])
+        for estimator in ("gr", "pearson"):
+            with pytest.raises(ValueError, match="zero scale for column 'col1'"):
+                column_summaries(values, estimator)
+
+    def test_one_row_is_rejected(self):
+        with pytest.raises(ValueError, match="at least two observations"):
+            column_summaries(np.ones((1, 3)), "pearson")
 
 
 class TestDestandardize:

@@ -1,8 +1,9 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gralasso import robust_stats
 from gralasso.robust_stats import (
@@ -17,7 +18,8 @@ from gralasso.robust_stats import (
     std_normal_quantile,
 )
 
-from oracles import bisect_normal_quantile, brute_force_qn, naive_midranks
+from oracles import (bisect_normal_quantile, brute_force_qn, naive_midranks,
+                     std_normal_quantile_reference)
 
 
 class TestMedian:
@@ -234,6 +236,41 @@ class TestStdNormalQuantile:
         assert arr.shape == ps.shape
         for pi, xi in zip(ps, arr):
             assert xi == std_normal_quantile(float(pi))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400),
+           st.floats(0.05, 40.0), st.booleans())
+    def test_bits_match_the_fresh_array_evaluation(self, seed, size, power,
+                                                   fortran):
+        # powers of uniforms reach both tails and p < exp(-25)
+        rng = np.random.default_rng(seed)
+        p = rng.random((size, 3)) ** power
+        p[rng.random(p.shape) < 0.5] *= -1.0
+        p[p < 0.0] += 1.0
+        p = p[(p > 0.0) & (p < 1.0)]
+        p = np.concatenate([p, [0.5, 0.075, 0.925, 1e-300, 1.0 - 2.0**-53]])
+        table = p.reshape(-1, 1)[:, [0, 0]]
+        for arg in (p, np.asfortranarray(table) if fortran else table.T):
+            got = std_normal_quantile(arg)
+            ref = std_normal_quantile_reference(
+                arg, robust_stats._AS241_CENTRAL, robust_stats._AS241_NEAR,
+                robust_stats._AS241_FAR)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_peak_memory_within_three_times_the_input(self):
+        # the normal-score probabilities of a 220,000-row column; the
+        # reference evaluation held about 7.5 times their size at its peak
+        p = np.arange(1, 220_001) / 220_001
+        std_normal_quantile(p[:10])
+        tracemalloc.start()
+        try:
+            std_normal_quantile(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * p.nbytes
 
 
 class TestRobustSummary:
