@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import as_table
 # unused here, but the benchmark's tracer wraps `covariance.normal_scores`
-from .robust_stats import (RobustSummary, _midranks, _sorted_rows,
-                           normal_scores, std_normal_quantile)
+from .robust_stats import (RobustSummary, _midranks, normal_scores,
+                           std_normal_quantile)
 
 __all__ = [
     "CorrelationMatrix",
@@ -115,28 +115,15 @@ def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
         bad = np.flatnonzero(sd <= 0.0)
         if bad.size:
             raise ValueError(f"zero-variance column {names[bad[0]]!r}")
-        return _pearson_scores(values, cols, cols.mean(axis=1), sd)
+        out = np.empty_like(values)
+        out.T[...] = (cols - cols.mean(axis=1)[:, None]) / sd[:, None]
+        return out
     if kind not in ("gaussian-rank", "spearman"):
         raise ValueError(f"unknown score kind {kind!r}")
     tied = np.flatnonzero((values == values[0]).all(axis=0))
     if tied.size:
         raise ValueError(f"degenerate column {names[tied[0]]!r}: all values tied")
-    return _rank_scores(
-        _midranks(values, *_sorted_rows(np.ascontiguousarray(values.T))), kind)
-
-
-def _pearson_scores(values, cols, mean, sd):
-    """(x - mean) / sd of each column of `values`, from its contiguous
-    transpose `cols`."""
-    out = np.empty_like(values)
-    out.T[...] = (cols - mean[:, None]) / sd[:, None]
-    return out
-
-
-def _rank_scores(r, kind):
-    """Normal scores or centred mid-ranks of each column, written over its
-    mid-ranks `r`."""
-    n = r.shape[0]
+    r = _midranks(values)
     if kind == "gaussian-rank":
         # mid-ranks take the 2n - 1 values 1, 1.5, ..., n: score each once
         half = np.arange(2, 2 * n + 1) * 0.5

@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (CorrelationMatrix, _pearson_of_values,
-                         _pearson_scores, _rank_scores, score_matrix)
+from .covariance import CorrelationMatrix, _pearson_of_values, score_matrix
 from .data import DataMatrix, as_table
 # `normal_scores` is not called here, but the benchmark's tracer wraps
 # `regression.normal_scores`, so the name stays bound
-from .robust_stats import (RobustSummary, _medians, _midranks, _qn_of_sorted,
-                           _robust_summaries, _sorted_rows, normal_scores)
+from .robust_stats import RobustSummary, _robust_summaries, normal_scores
 
 __all__ = [
     "AdaptiveWeights",
@@ -173,29 +171,6 @@ def _summaries(locations, scales, names):
             raise ValueError(f"zero scale for column {name!r}")
         out.append(summ)
     return out
-
-
-def _summaries_and_scores(Z, kind):
-    """`column_summaries` and `score_matrix` of a fit's table in one pass:
-    the Pearson kind shares the means and sds, and a rank kind the argsort
-    and sorted columns that its mid-ranks are built from."""
-    values, names = Z.values, Z.columns
-    if kind == "pearson":
-        cols = np.ascontiguousarray(values.T)
-        mean, sd = cols.mean(axis=1), cols.std(axis=1, ddof=1)
-        return (_summaries(mean, sd, names),
-                _pearson_scores(values, cols, mean, sd))
-    order, xs = _sorted_rows(np.ascontiguousarray(values.T))
-    loc = _medians(xs)
-    # argsort and np.sort may order -0.0 and +0.0 differently, so a zero
-    # median is read off np.sort, as `column_summaries` reads it
-    zero = np.flatnonzero(loc == 0.0)
-    if zero.size:
-        loc[zero] = _medians(np.sort(values[:, zero].T, axis=1))
-    summaries = _summaries(loc, _qn_of_sorted(xs), names)
-    ranks = _midranks(values, order, xs)
-    del order, xs  # as in `score_matrix`, freed before the scores are made
-    return summaries, _rank_scores(ranks, kind)
 
 
 def initial_estimate_direct(cov) -> np.ndarray:
@@ -639,7 +614,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         raise ValueError("lambda must be finite and nonnegative")
     n, p = Z.n, Z.p
 
-    summaries, scores = _summaries_and_scores(Z, kind)
+    summaries = column_summaries(Z, estimator)
+    scores = score_matrix(Z, kind)
     R = CorrelationMatrix(_pearson_of_values(scores, Z.columns), kind, Z.columns)
 
     low_dim = p < n / 2

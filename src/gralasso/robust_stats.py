@@ -1,11 +1,11 @@
 """Univariate robust estimators: median, Qn scale, ranks and normal scores.
 
 These are the column-level building blocks behind the rank-based correlation
-estimators. The private helpers work on whole tables, one column per row of
-the sorted transpose (`_robust_summaries`, `_medians`, `_qn_of_sorted`,
-`_sorted_rows`, `_midranks`), and the public functions are their calls on a
-one-column table. The public functions validate their input (no NaN or
-infinite entries); all are pure, so concurrent use needs no locking.
+estimators. `_robust_summaries`, `_medians` and `_qn_of_sorted` work on
+whole tables, one column per row of the sorted transpose; `median`,
+`qn_scale` and `robust_summary` are their calls on a one-column table. The
+public functions validate their input (no NaN or infinite entries); all are
+pure, so concurrent use needs no locking.
 """
 
 import math
@@ -117,10 +117,12 @@ def _qn_of_sorted(xs: np.ndarray) -> np.ndarray:
     k = h * (h - 1) // 2
     kth = np.empty(xs.shape[0])
     if _lists_all_pairs(n):
-        lo, hi = np.triu_indices(n, 1)
+        # pairs j < i in the order `_qn_kth_diff` lists them, so that the
+        # partition picks the same difference, signed zeros included
+        i, j = np.tril_indices(n, -1)
         for r, row in enumerate(xs):
-            diff = row.take(hi)
-            diff -= row.take(lo)
+            diff = row.take(i)
+            diff -= row.take(j)
             diff.partition(k - 1)
             kth[r] = diff[k - 1]
     else:
@@ -218,29 +220,23 @@ def _qn_cut(xs, lo, hi, t, strict):
 
 def ranks(x) -> np.ndarray:
     """Ranks in 1..n; tied values share their mid-rank average."""
-    values = _as_sample(x)[:, None]
-    return _midranks(values, *_sorted_rows(values.T))[:, 0]
+    return _midranks(_as_sample(x)[:, None])[:, 0]
 
 
-def _sorted_rows(cols: np.ndarray):
-    """(order, xs): the argsort of each row of a float table and the sorted
-    rows; `cols` is a table's transpose, best made contiguous."""
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """Mid-ranks of each column of a float table, in its memory layout: one
+    argsort of the transposed rows, then running maxima and reversed running
+    minima carry each tie block's start a + 1 and end b to all its entries,
+    for the exact mid-rank 0.5 (a + 1 + b)."""
+    n, m = values.shape
+    cols = np.ascontiguousarray(values.T)
     order = np.argsort(cols, axis=1)
-    return order, np.take_along_axis(cols, order, axis=1)
-
-
-def _midranks(values: np.ndarray, order: np.ndarray,
-              xs: np.ndarray) -> np.ndarray:
-    """Mid-ranks of each column of a float table, in its memory layout,
-    from its `_sorted_rows` (xs is overwritten): running maxima and reversed
-    running minima carry each tie block's start a + 1 and end b to all its
-    entries, for the exact mid-rank 0.5 (a + 1 + b)."""
-    m, n = xs.shape
+    cols = np.take_along_axis(cols, order, axis=1)
     start = np.ones((m, n), dtype=bool)
-    np.not_equal(xs[:, 1:], xs[:, :-1], out=start[:, 1:])
+    np.not_equal(cols[:, 1:], cols[:, :-1], out=start[:, 1:])
     end = np.roll(start, -1, axis=1)  # start[:, 0] is True: rows end blocks
     pos = np.arange(1.0, n + 1)
-    lo = np.multiply(start, pos, out=xs)
+    lo = np.multiply(start, pos, out=cols)
     np.maximum.accumulate(lo, axis=1, out=lo)
     hi = np.where(end, pos, float(n))
     np.minimum.accumulate(hi[:, ::-1], axis=1, out=hi[:, ::-1])
@@ -290,27 +286,29 @@ _AS241_FAR = (
 )
 
 
-def _rational(coefs, r, out=None):
-    """num(r) / den(r) by Horner's rule, accumulated in place (the numerator
-    in `out`, which must not be r)."""
+def _rational(coefs, r):
     num, den = coefs
-    top = np.multiply(r, num[-1], out=out)
-    bottom = r * den[-1]
-    top += num[-2]
-    bottom += den[-2]
-    for a, b in zip(num[-3::-1], den[-3::-1]):
-        top *= r
-        top += a
-        bottom *= r
-        bottom += b
-    top /= bottom
-    return top
+    top, bottom = num[-1], den[-1]
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        top = top * r + a
+        bottom = bottom * r + b
+    return top / bottom
 
 
-def _lower_half(p: np.ndarray) -> np.ndarray:
-    """p with its upper half reflected through the exact complement 1 - p,
-    in place."""
-    return np.subtract(1.0, p, out=p, where=p > 0.5)
+def _as241_lower(p: np.ndarray) -> np.ndarray:
+    # lower half only (p <= 0.5): std_normal_quantile reflects the rest
+    z = np.empty_like(p)
+    q = p - 0.5
+    central = q >= -0.425
+    qc = q[central]
+    z[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    r = np.sqrt(-np.log(p[~central]))
+    far = r > 5.0  # p < exp(-25), never a normal score below n = 7e10
+    r[~far] = _rational(_AS241_NEAR, r[~far] - 1.6)
+    if far.any():
+        r[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    z[~central] = -r
+    return z
 
 
 def std_normal_quantile(p):
@@ -321,45 +319,15 @@ def std_normal_quantile(p):
     arguments are reflected through the exact complement 1 - p, so the
     p <-> 1-p symmetry is exact. Accepts a scalar or an array and matches
     the input shape.
-
-    The result array doubles as working memory: the central region's
-    numerator is accumulated in it, and q = p - 1/2 and the tails are
-    recomputed from p afterwards, so that at most about three times the
-    input's size is held at once.
     """
     scalar = np.isscalar(p)
     arr = np.asarray(p, dtype=float)
-    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
+    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("probability out of range")
-    flat = arr.reshape(-1)
-    x = _lower_half(flat.copy())
-    x -= 0.5
-    central = x >= -0.425
-    # central region: q * num(t) / den(t) with t = 0.180625 - q * q
-    t = x[central]
-    t *= t
-    np.subtract(0.180625, t, out=t)
-    ratio = _rational(_AS241_CENTRAL, t, out=x[:t.size])
-    del t
-    q = _lower_half(flat[central])
-    q -= 0.5
-    q *= ratio
-    x[central] = q
-    del q
-    # tails: with r = sqrt(-log(p)), near (r <= 5) and far (p < exp(-25),
-    # never a normal score below n = 7e10)
-    tail = ~central
-    r = _lower_half(flat[tail])
-    np.log(r, out=r)
-    np.negative(r, out=r)
-    np.sqrt(r, out=r)
-    far = r > 5.0
-    r[~far] = _rational(_AS241_NEAR, r[~far] - 1.6)
-    if far.any():
-        r[far] = _rational(_AS241_FAR, r[far] - 5.0)
-    np.negative(r, out=r)
-    x[tail] = r
-    np.negative(x, out=x, where=flat > 0.5)
+    flat = arr.reshape(-1) if arr.ndim else arr.reshape(1)
+    flip = flat > 0.5
+    x = _as241_lower(np.where(flip, 1.0 - flat, flat))
+    x = np.where(flip, -x, x)
     if scalar:
         return float(x[0])
     return x.reshape(arr.shape)

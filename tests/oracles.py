@@ -296,38 +296,6 @@ def write_pieces_per_round(rounds, grid, n_prob, p):
     return coefs, pieces
 
 
-def std_normal_quantile_reference(p, central, near, far):
-    """The AS241 evaluation that `robust_stats.std_normal_quantile` replaced,
-    with fresh arrays at every step, given the package's coefficient pairs
-    (numerator, denominator; lowest degree first): the reference its
-    in-place evaluation must match bit for bit."""
-
-    def rational(coefs, r):
-        num, den = coefs
-        top, bottom = num[-1], den[-1]
-        for a, b in zip(num[-2::-1], den[-2::-1]):
-            top = top * r + a
-            bottom = bottom * r + b
-        return top / bottom
-
-    arr = np.asarray(p, dtype=float)
-    flat = arr.reshape(-1)
-    flip = flat > 0.5
-    low = np.where(flip, 1.0 - flat, flat)
-    z = np.empty_like(low)
-    q = low - 0.5
-    mid = q >= -0.425
-    qc = q[mid]
-    z[mid] = qc * rational(central, 0.180625 - qc * qc)
-    r = np.sqrt(-np.log(low[~mid]))
-    is_far = r > 5.0
-    r[~is_far] = rational(near, r[~is_far] - 1.6)
-    if is_far.any():
-        r[is_far] = rational(far, r[is_far] - 5.0)
-    z[~mid] = -r
-    return np.where(flip, -z, z).reshape(arr.shape)
-
-
 def qn_by_sorted_differences(x, d: float = 2.2219) -> float:
     """Qn from all n(n-1)/2 absolute differences sorted with numpy: a fast
     stand-in for `brute_force_qn` at a few hundred values."""

@@ -880,29 +880,6 @@ class TestColumnSummaries:
             assert _same_bits([s.location for s in got], locs)
             assert _same_bits([s.scale for s in got], scales)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_summary_tables())
-    def test_fit_stage_matches_the_public_calls(self, values):
-        # a fit shares one sort (rank kinds) or one mean/sd pass (Pearson)
-        # between its summaries and its scores
-        Z = DataMatrix(values, tuple(f"c{j}" for j in range(values.shape[1])))
-        for estimator, kind in (("gr", "gaussian-rank"), ("spearman", "spearman"),
-                                ("pearson", "pearson")):
-            try:
-                summaries = column_summaries(Z, estimator)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as err:
-                    regression._summaries_and_scores(Z, kind)
-                assert str(err.value) == str(exc)
-                continue
-            got, scores = regression._summaries_and_scores(Z, kind)
-            assert _same_bits([s.location for s in got],
-                              [s.location for s in summaries])
-            assert _same_bits([s.scale for s in got],
-                              [s.scale for s in summaries])
-            ref = score_matrix(Z, kind)
-            assert _same_bits(scores, ref) and scores.strides == ref.strides
-
     def test_summaries_of_a_constant_column_name_it(self):
         values = np.column_stack([np.arange(12.0), np.ones(12),
                                   np.zeros(12)])
