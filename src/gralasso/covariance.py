@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import as_table
 # unused here, but the benchmark's tracer wraps `covariance.normal_scores`
-from .robust_stats import (RobustSummary, _midranks, normal_scores,
-                           std_normal_quantile)
+from .robust_stats import (RobustSummary, _midrank_scores, _midranks,
+                           normal_scores)
 
 __all__ = [
     "CorrelationMatrix",
@@ -29,8 +29,29 @@ __all__ = [
 ]
 
 
+class _Partitions:
+    """The predictor count and the response-first blocks of the square
+    matrix `_full`, response in slot 0."""
+
+    @property
+    def p(self) -> int:
+        return self._full.shape[0] - 1
+
+    @property
+    def yy(self) -> float:
+        return float(self._full[0, 0])
+
+    @property
+    def xy(self) -> np.ndarray:
+        return self._full[1:, 0]
+
+    @property
+    def xx(self) -> np.ndarray:
+        return self._full[1:, 1:]
+
+
 @dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(_Partitions):
     """Symmetric unit-diagonal correlation matrix, response in slot 0."""
 
     matrix: np.ndarray
@@ -47,25 +68,11 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix must have a unit diagonal")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0] - 1
-
-    @property
-    def yy(self) -> float:
-        return float(self.matrix[0, 0])
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.matrix[1:, 0]
-
-    @property
-    def xx(self) -> np.ndarray:
-        return self.matrix[1:, 1:]
+    _full = property(lambda self: self.matrix)
 
 
 @dataclass(frozen=True)
-class CovarianceModel:
+class CovarianceModel(_Partitions):
     """Covariance sigma = S R S with its partitions and square-root factors.
 
     ``sqrt_v`` is the first column of the symmetric square root and
@@ -80,21 +87,7 @@ class CovarianceModel:
     sqrt_w: np.ndarray
     columns: tuple | None = None
 
-    @property
-    def p(self) -> int:
-        return self.sigma.shape[0] - 1
-
-    @property
-    def yy(self) -> float:
-        return float(self.sigma[0, 0])
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.sigma[1:, 0]
-
-    @property
-    def xx(self) -> np.ndarray:
-        return self.sigma[1:, 1:]
+    _full = property(lambda self: self.sigma)
 
 
 def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
@@ -108,16 +101,12 @@ def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
     """
     values, names = as_table(Z)
     n = values.shape[0]
-    # the scores keep the layout of `values`: the correlation's sums follow it
     if kind == "pearson":
-        cols = np.ascontiguousarray(values.T)  # reduces as np.std(col) does
-        sd = cols.std(axis=1, ddof=1) if n > 1 else np.zeros(cols.shape[0])
+        sd = values.std(axis=0, ddof=1) if n > 1 else np.zeros(values.shape[1])
         bad = np.flatnonzero(sd <= 0.0)
         if bad.size:
             raise ValueError(f"zero-variance column {names[bad[0]]!r}")
-        out = np.empty_like(values)
-        out.T[...] = (cols - cols.mean(axis=1)[:, None]) / sd[:, None]
-        return out
+        return (values - values.mean(axis=0)) / sd
     if kind not in ("gaussian-rank", "spearman"):
         raise ValueError(f"unknown score kind {kind!r}")
     tied = np.flatnonzero((values == values[0]).all(axis=0))
@@ -125,11 +114,8 @@ def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
         raise ValueError(f"degenerate column {names[tied[0]]!r}: all values tied")
     r = _midranks(values)
     if kind == "gaussian-rank":
-        # mid-ranks take the 2n - 1 values 1, 1.5, ..., n: score each once
-        half = np.arange(2, 2 * n + 1) * 0.5
-        r[...] = std_normal_quantile(half / (n + 1))[(2.0 * r).astype(int) - 2]
-    else:
-        r -= 0.5 * (n + 1)
+        return _midrank_scores(r)
+    r -= 0.5 * (n + 1)
     return r
 
 

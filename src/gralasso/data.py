@@ -1,8 +1,9 @@
 """Numeric data table shared by the estimators, the simulator and the CLI.
 
-A DataMatrix is an n x (p+1) array of finite floats with named columns and
-the response stored in column 0. CSV ingestion reorders the user's columns
-so that downstream partition extraction never needs an index argument.
+A DataMatrix is an n x (p+1) column-major array of finite floats with named
+columns and the response stored in column 0. CSV ingestion reorders the
+user's columns so that downstream partition extraction never needs an index
+argument.
 """
 
 import csv
@@ -47,26 +48,13 @@ class DataMatrix:
     columns: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("values must be a 2-D array")
+        arr, cols = _table(self.values, tuple(str(c) for c in self.columns))
         if arr.shape[0] < 1:
             raise ValueError("empty input")
         if arr.shape[1] < 2:
             raise ValueError("need a response column and at least one predictor")
-        cols = tuple(str(c) for c in self.columns)
-        if len(cols) != arr.shape[1]:
-            raise ValueError(
-                f"{len(cols)} column names for {arr.shape[1]} columns"
-            )
         if len(set(cols)) != len(cols):
             raise ValueError("column names must be unique")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"non-finite value at row {i + 1}, column {cols[j]!r}"
-            )
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "columns", cols)
 
@@ -236,12 +224,27 @@ def _reject_row(i, row, header):
 
 def as_table(Z):
     """(values, column names) of a DataMatrix or of a 2-D array of finite
-    floats, whose columns are named col0, col1, ..."""
+    floats, whose columns are named col0, col1, ... The values are
+    column-major float64, as every table in the package is."""
     if isinstance(Z, DataMatrix):
         return Z.values, Z.columns
-    values = np.asarray(Z, dtype=float)
-    if values.ndim != 2:
+    return _table(Z)
+
+
+def _table(values, names=None):
+    """(`values` as column-major float64, copied only where it is not so
+    already; its column names). A table that is not 2-D, has the wrong
+    number of names or holds a non-finite value raises; the last names the
+    row (1-based) and column of the first non-finite value."""
+    arr = np.asfortranarray(values, dtype=float)
+    if arr.ndim != 2:
         raise ValueError("expected a 2-D data table")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("data contains non-finite values")
-    return values, tuple(f"col{j}" for j in range(values.shape[1]))
+    if names is None:
+        names = tuple(f"col{j}" for j in range(arr.shape[1]))
+    if len(names) != arr.shape[1]:
+        raise ValueError(f"{len(names)} column names for {arr.shape[1]} columns")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"non-finite value at row {i + 1}, column {names[j]!r}")
+    return arr, names

@@ -145,9 +145,8 @@ def column_summaries(Z, estimator: str = "gr"):
     standard deviation, matching its own standardisation convention. Both
     are taken over the whole table: up to n = 200 rows the transposed table
     is sorted once, each median is read off its middle columns and each Qn
-    off its rows (`robust_stats._robust_summaries`); the Pearson pairs
-    reduce the rows of the contiguous transposed table, as np.mean and
-    np.std(ddof=1) reduce a column.
+    off its rows (`robust_stats._robust_summaries`); the Pearson pairs are
+    np.mean and np.std(ddof=1) of each column.
     """
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
@@ -156,8 +155,8 @@ def column_summaries(Z, estimator: str = "gr"):
     if values.shape[0] < 2:
         raise ValueError("need at least two observations")
     if kind == "pearson":
-        cols = np.ascontiguousarray(values.T)
-        return _summaries(cols.mean(axis=1), cols.std(axis=1, ddof=1), names)
+        return _summaries(values.mean(axis=0), values.std(axis=0, ddof=1),
+                          names)
     return _summaries(*_robust_summaries(values), names)
 
 
@@ -251,10 +250,11 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     (F, G, p), (F, G) and (F, G) for F problems (grams (F, p, p), cs (F, p))
     and G grid points.
 
-    The grid must be finite, nonnegative and strictly descending; any other
-    raises ValueError. From lambda = +inf and an empty active set A, each
-    piece solves G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda
-    v with the active signs s, a = 2n(c - G_:A u) and d = 2n G_:A v. Every
+    The grid must be finite, nonnegative and strictly descending, and the
+    grams, cs and weights of matching sizes; any other raises ValueError.
+    From lambda = +inf and an empty active set A, each piece solves
+    G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda v with the
+    active signs s, a = 2n(c - G_:A u) and d = 2n G_:A v. Every
     coordinate has at most one next kink below the current lambda: an active
     k reaches zero at u_k / v_k when it moves toward it (s_k v_k < 0), kept
     only if strictly below lambda; an inactive j can only join on the side
@@ -284,11 +284,13 @@ def _solve_path(grams, cs, wv, grid, n, tol):
             and (np.diff(grid) < 0.0).all()):
         raise ValueError("lambda grid must be finite, nonnegative and "
                          "strictly descending")
+    n_prob, p = cs.shape
+    if grams.shape != (n_prob, p, p) or wv.shape != (p,):
+        raise ValueError("dimension mismatch between gram, c and weights")
     finite = np.isfinite(wv)
     if (np.diagonal(grams, axis1=1, axis2=2)[:, finite] <= 0.0).any():
         raise ValueError("degenerate predictor variance")
     off_key = 2 - finite  # argsort key off the active set: +inf weights last
-    n_prob, p = cs.shape
     slack = 10.0 * tol * n
     c2n = 2.0 * n * cs
     coord = np.arange(p)
@@ -393,13 +395,10 @@ def weighted_lasso_cd(gram, c, w, lam: float, n: int,
     nonnegative `lam`: the exact path (`_solve_path`) traced from lambda_max
     down to `lam`, with a KKT certificate within 10 * tol * n; an
     uncertified solution warns."""
-    gram = np.asarray(gram, dtype=float)
-    c = np.asarray(c, dtype=float)
-    wv = _weight_vector(w)
-    if gram.shape != (c.size, c.size) or wv.size != c.size:
-        raise ValueError("dimension mismatch between gram, c and weights")
-    b, pieces, ok = _solve_path(gram[None], c[None], wv,
-                                np.array([float(lam)]), n, tol)
+    b, pieces, ok = _solve_path(np.asarray(gram, dtype=float)[None],
+                                np.asarray(c, dtype=float)[None],
+                                _weight_vector(w), np.array([float(lam)]), n,
+                                tol)
     if not ok[0, 0]:
         warnings.warn(f"the lasso path stopped after {pieces[0, 0]} pieces "
                       "without a KKT certificate; returning its solution")

@@ -224,12 +224,12 @@ def ranks(x) -> np.ndarray:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Mid-ranks of each column of a float table, in its memory layout: one
-    argsort of the transposed rows, then running maxima and reversed running
-    minima carry each tie block's start a + 1 and end b to all its entries,
-    for the exact mid-rank 0.5 (a + 1 + b)."""
+    """Mid-ranks of each column of a float table: one argsort of the
+    transposed rows, then running maxima and reversed running minima carry
+    each tie block's start a + 1 and end b to all its entries, for the exact
+    mid-rank 0.5 (a + 1 + b)."""
     n, m = values.shape
-    cols = np.ascontiguousarray(values.T)
+    cols = values.T
     order = np.argsort(cols, axis=1)
     cols = np.take_along_axis(cols, order, axis=1)
     start = np.ones((m, n), dtype=bool)
@@ -253,8 +253,17 @@ def normal_scores(x) -> np.ndarray:
     Invariant under strictly increasing transforms of the data, and always
     finite since rank/(n+1) stays inside (0, 1).
     """
-    arr = _as_sample(x, min_n=2)
-    return std_normal_quantile(ranks(arr) / (arr.size + 1))
+    return _midrank_scores(_midranks(_as_sample(x, min_n=2)[:, None]))[:, 0]
+
+
+def _midrank_scores(r: np.ndarray) -> np.ndarray:
+    """Normal scores of a table of n-row mid-ranks, written over them: the
+    mid-ranks take the 2n - 1 values 1, 1.5, ..., n, so each is scored once
+    and looked up."""
+    n = r.shape[0]
+    half = np.arange(2, 2 * n + 1) * 0.5
+    r[...] = std_normal_quantile(half / (n + 1))[(2.0 * r).astype(int) - 2]
+    return r
 
 
 # Wichura's AS241 (PPND16) rational approximations, lowest degree first:

@@ -280,8 +280,18 @@ class TestCoordinateDescent:
         assert b.shape == (0,)
 
     def test_dimension_mismatch(self):
+        # every entry point reaches the one check in _solve_path, for a
+        # mismatched c and for weights of the wrong length
+        grid = np.array([0.1])
         with pytest.raises(ValueError, match="dimension mismatch"):
             weighted_lasso_cd(np.eye(3), np.ones(2), np.ones(2), 0.1, 10)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            weighted_lasso_cd(np.eye(3), np.ones(3), np.ones(2), 0.1, 10)
+        Z = np.random.default_rng(0).standard_normal((20, 4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fit_path(pearson_corr_matrix(Z), np.ones(2), grid, 20)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cross_validate(Z, np.ones(2), grid)
 
     def test_negative_raw_weight_is_rejected(self):
         # a negative weight rewards |b_j|: the objective has no minimiser
