@@ -9,7 +9,6 @@ one CLI (``gralasso``).
 
 from .data import DataMatrix
 from .robust_stats import (
-    RobustSummary,
     median,
     normal_scores,
     qn_scale,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DataMatrix",
-    "RobustSummary",
     "median",
     "normal_scores",
     "qn_scale",

@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
         fh.write(f"gralasso {__version__} fit report\n")
         fh.write(f"input: {args.input}\nresponse: {args.response}\n")
         fh.write(f"n: {Z.n}\np: {Z.p}\nestimator: {fit.estimator}\n")
-        fh.write(f"weights: {fit.weights.source}\nseed: {args.seed}\n")
+        fh.write(f"weight_source: {fit.weights.source}\nseed: {args.seed}\n")
         if cv:
             fh.write(f"rule: {args.rule}\n")
         fh.write(f"lambda: {_FMT(fit.lambda_)}\n")
@@ -220,14 +220,14 @@ def cmd_fit(args) -> int:
         else:
             fh.write("  (none)\n")
         fh.write("column summaries (location, scale):\n")
-        for name, summ in zip(Z.columns, fit.summaries):
-            fh.write(f"  {name}: {_FMT(summ.location)}, {_FMT(summ.scale)}\n")
+        for name, loc, scale in zip(Z.columns, fit.locations, fit.scales):
+            fh.write(f"  {name}: {_FMT(loc)}, {_FMT(scale)}\n")
 
     if args.export_correlation:
         write_csv(os.path.join(outdir, "correlation.csv"), Z.columns,
                   fit.correlation.matrix)
     if args.export_covariance:
-        cov = assemble_covariance(fit.correlation, fit.summaries)
+        cov = assemble_covariance(fit.correlation, fit.scales)
         write_csv(os.path.join(outdir, "covariance.csv"), Z.columns,
                   cov.sigma)
 

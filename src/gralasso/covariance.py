@@ -14,8 +14,7 @@ import numpy as np
 
 from .data import as_table
 # unused here, but the benchmark's tracer wraps `covariance.normal_scores`
-from .robust_stats import (RobustSummary, _midrank_scores, _midranks,
-                           normal_scores)
+from .robust_stats import _midrank_scores, _midranks, normal_scores
 
 __all__ = [
     "CorrelationMatrix",
@@ -164,11 +163,10 @@ def spearman_corr_matrix(Z) -> CorrelationMatrix:
     return _rank_corr_matrix(Z, "spearman")
 
 
-def assemble_covariance(R: CorrelationMatrix, summaries) -> CovarianceModel:
-    """Combine a correlation matrix with per-column scales into
+def assemble_covariance(R: CorrelationMatrix, scales) -> CovarianceModel:
+    """Combine a correlation matrix with a vector of per-column scales into
     sigma[i, j] = s_i * R[i, j] * s_j, plus its square-root factors."""
-    scales = np.asarray([s.scale if isinstance(s, RobustSummary) else float(s)
-                         for s in summaries], dtype=float)
+    scales = np.array(scales, dtype=float)
     if scales.size != R.matrix.shape[0]:
         raise ValueError(
             f"{scales.size} scales for a {R.matrix.shape[0]}-column matrix"

@@ -30,7 +30,7 @@ from .covariance import CorrelationMatrix, _pearson_of_values, score_matrix
 from .data import DataMatrix, as_table
 # `normal_scores` is not called here, but the benchmark's tracer wraps
 # `regression.normal_scores`, so the name stays bound
-from .robust_stats import RobustSummary, _robust_summaries, normal_scores
+from .robust_stats import _robust_summaries, normal_scores
 
 __all__ = [
     "AdaptiveWeights",
@@ -87,9 +87,13 @@ class LassoPath:
 
     lambdas: np.ndarray
     coefficients: np.ndarray
-    supports: tuple
     iterations: np.ndarray
     converged: np.ndarray
+
+    @property
+    def supports(self) -> tuple:
+        """The nonzero coordinates of each grid point's coefficients."""
+        return tuple(map(_support, self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,8 @@ class CvCurve:
 @dataclass(frozen=True)
 class SelectionFit:
     """Complete fit: coefficients in original units plus the path and CV
-    diagnostics and the correlation matrix that produced them."""
+    diagnostics, the column locations and scales (response first) and the
+    correlation matrix that produced them."""
 
     beta: np.ndarray
     intercept: float
@@ -122,7 +127,8 @@ class SelectionFit:
     lambda_: float
     path: LassoPath
     cv: CvCurve | None
-    summaries: tuple
+    locations: np.ndarray
+    scales: np.ndarray
     columns: tuple
     estimator: str
     weights: AdaptiveWeights
@@ -134,19 +140,23 @@ class SelectionFit:
         return tuple(self.columns[1 + j] for j in self.support)
 
 
+def _support(b) -> tuple:
+    return tuple(np.flatnonzero(b).tolist())
+
+
 def _weight_vector(w) -> np.ndarray:
     return (w if isinstance(w, AdaptiveWeights) else AdaptiveWeights(w, "given")).weights
 
 
 def column_summaries(Z, estimator: str = "gr"):
-    """Per-column location/scale pairs, response first.
+    """(locations, scales) of the columns as float arrays, response first.
 
     Robust estimators use median and Qn; the Pearson baseline uses mean and
     standard deviation, matching its own standardisation convention. Both
     are taken over the whole table: up to n = 200 rows the transposed table
     is sorted once, each median is read off its middle columns and each Qn
-    off its rows (`robust_stats._robust_summaries`); the Pearson pairs are
-    np.mean and np.std(ddof=1) of each column.
+    off its rows (`robust_stats._robust_summaries`); the Pearson arrays are
+    np.mean and np.std(ddof=1) of the columns.
     """
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
@@ -161,15 +171,15 @@ def column_summaries(Z, estimator: str = "gr"):
 
 
 def _summaries(locations, scales, names):
-    """RobustSummary list of per-column arrays; a zero scale raises, naming
-    the first such column."""
-    out = []
-    for name, loc, scale in zip(names, locations.tolist(), scales.tolist()):
-        summ = RobustSummary(loc, scale)
-        if summ.scale <= 0.0:
-            raise ValueError(f"zero scale for column {name!r}")
-        out.append(summ)
-    return out
+    """(locations, scales), checked: an entry that is not finite or a scale
+    that is not positive raises, naming the first such column."""
+    finite = np.isfinite(locations) & np.isfinite(scales)
+    bad = np.flatnonzero(~(finite & (scales > 0.0)))
+    if bad.size:
+        j = bad[0]
+        what = "zero scale" if finite[j] else "non-finite summary"
+        raise ValueError(f"{what} for column {names[j]!r}")
+    return locations, scales
 
 
 def initial_estimate_direct(cov) -> np.ndarray:
@@ -422,12 +432,8 @@ def _lasso_path(grid, coefs, pieces, conv) -> LassoPath:
     if not np.all(conv):
         warnings.warn("the lasso solver did not certify convergence at "
                       f"{int(np.sum(~conv))} of {grid.size} grid points")
-    rows, cols = np.nonzero(coefs != 0.0)
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=grid.size)).tolist()
-    supports = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
     return LassoPath(lambdas=grid.copy(), coefficients=coefs,
-                     supports=supports, iterations=pieces, converged=conv)
+                     iterations=pieces, converged=conv)
 
 
 def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
@@ -518,18 +524,16 @@ def _cv_curve(values, blocks, grid, coefs, conv) -> CvCurve:
 
 def destandardize(beta_std, summaries):
     """Map standardised coefficients to original units and recover the
-    intercept from the column locations."""
+    intercept from the column locations; `summaries` is a response-first
+    (locations, scales) pair, as `column_summaries` returns it."""
     beta_std = np.asarray(beta_std, dtype=float)
-    resp = summaries[0]
-    preds = summaries[1:]
-    if len(preds) != beta_std.size:
+    locs, scales = (np.asarray(a, dtype=float) for a in summaries)
+    if not locs.size == scales.size == beta_std.size + 1:
         raise ValueError("summary/coefficient length mismatch")
-    scales = np.asarray([s.scale for s in preds], dtype=float)
-    if np.any(scales <= 0.0):
+    if np.any(scales[1:] <= 0.0):
         raise ValueError("zero scale in predictor summaries")
-    beta = beta_std * resp.scale / scales
-    locs = np.asarray([s.location for s in preds], dtype=float)
-    intercept = resp.location - float(locs @ beta)
+    beta = beta_std * scales[0] / scales[1:]
+    intercept = float(locs[0]) - float(locs[1:] @ beta)
     return beta, intercept
 
 
@@ -607,6 +611,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
         raise ValueError(f"unknown estimator {estimator!r}")
+    if weights not in ("auto", "direct", "ridge", "unit"):
+        raise ValueError(f"unknown weights mode {weights!r}")
     if rule not in ("1se", "min"):
         raise ValueError(f"unknown selection rule {rule!r}")
     if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
@@ -620,7 +626,7 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     low_dim = p < n / 2
     if weights == "unit":
         wobj = AdaptiveWeights(np.ones(p), "unit")
-    elif weights in ("auto", "direct", "ridge"):
+    else:
         mode = weights if weights != "auto" else ("direct" if low_dim else "ridge")
         if mode == "direct":
             try:
@@ -637,8 +643,6 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
                    if kappa == "cv" else float(kappa))
             beta_init = initial_estimate_ridge(R, kap)
             wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
-    else:
-        raise ValueError(f"unknown weights mode {weights!r}")
 
     if fixed_lambda is None:
         ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
@@ -658,7 +662,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         path = fit_path(R, wobj, grid, n, tol=tol)
     beta, intercept = destandardize(path.coefficients[idx], summaries)
     return SelectionFit(beta=beta, intercept=intercept,
-                        support=path.supports[idx], lambda_=float(grid[idx]),
-                        path=path, cv=cv, summaries=tuple(summaries),
+                        support=_support(path.coefficients[idx]),
+                        lambda_=float(grid[idx]), path=path, cv=cv,
+                        locations=summaries[0], scales=summaries[1],
                         columns=Z.columns, estimator=kind, weights=wobj,
                         converged=bool(path.converged[idx]), correlation=R)

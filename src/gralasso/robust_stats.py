@@ -9,13 +9,11 @@ pure, so concurrent use needs no locking.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QN_CONSISTENCY",
-    "RobustSummary",
     "median",
     "qn_scale",
     "ranks",
@@ -32,20 +30,6 @@ QN_CONSISTENCY = 2.2219
 # Qn lists the remaining candidate differences outright once at most
 # max(n, _QN_BAND) of them are left; at n <= 200 that is every pair.
 _QN_BAND = 20_000
-
-
-@dataclass(frozen=True)
-class RobustSummary:
-    """Per-column location and scale estimates (median and Qn by default)."""
-
-    location: float
-    scale: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.location) and math.isfinite(self.scale)):
-            raise ValueError("summary entries must be finite")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
 
 
 def _as_sample(x, min_n: int = 1, min_n_message: str | None = None) -> np.ndarray:
@@ -342,9 +326,9 @@ def std_normal_quantile(p):
     return x.reshape(arr.shape)
 
 
-def robust_summary(x) -> RobustSummary:
-    """Median and Qn of a sample, bundled for standardisation: the
-    summaries of a one-column table, sorted once for both."""
+def robust_summary(x) -> tuple:
+    """(median, Qn) of a sample as two floats: the summaries of a
+    one-column table, sorted once for both."""
     loc, scale = _robust_summaries(_as_sample(
         x, min_n=2, min_n_message="need at least two observations")[:, None])
-    return RobustSummary(location=float(loc[0]), scale=float(scale[0]))
+    return float(loc[0]), float(scale[0])

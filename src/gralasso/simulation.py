@@ -386,10 +386,8 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     fit_kwargs = dict(fit_kwargs or {})
     fit_kwargs.setdefault("estimator", "gr")
     y = Z.y
-    summaries = column_summaries(Z)[1:]
-    med = np.array([s.location for s in summaries])
-    scale = np.array([s.scale for s in summaries])
-    Xs = (Z.X - med) / scale
+    med, scale = column_summaries(Z)
+    Xs = (Z.X - med[1:]) / scale[1:]
     names = tuple(Z.predictor_names) + tuple(
         f"noise{k + 1}" for k in range(n_redundant)
     )

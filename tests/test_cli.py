@@ -74,6 +74,28 @@ class TestFit:
         assert meta_cv["folds"] == 4 and meta_cv["rule"] is None
         assert meta_cv.keys() == meta.keys()
 
+    def test_report_names_the_weight_source(self, tmp_path):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out)]) == 0
+        meta = json.loads((out / "fit.json").read_text())
+        lines = (out / "fit_report.txt").read_text().splitlines()
+        assert f"weight_source: {meta['weight_source']}" in lines
+        assert meta["weights"] == "auto"
+        assert not any(line.startswith("weights:") for line in lines)
+
+    def test_lambda_that_selects_nothing(self, tmp_path):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out), "--lambda", "1e6"]) == 0
+        assert json.loads((out / "fit.json").read_text())["selected"] == []
+        report = (out / "fit_report.txt").read_text()
+        assert "selected variables:\n  (none)\ncolumn summaries" in report
+        rows = (out / "coefficients.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [["0", "0"]] * 3
+
     def test_one_fold_is_usage_error(self, tmp_path, capsys):
         path, _, _ = _fixture_csv(tmp_path)
         out = tmp_path / "o"
@@ -444,6 +466,36 @@ class TestBenchmark:
             (par / "aggregate.csv").read_bytes()
 
 
+# eight rows are too few for any fit, so every replicate fails
+_FAILING_BENCHMARK = ["benchmark", "--n", "8", "--p", "3", "--replicates", "2",
+                      "--e-list", "0", "--gamma-list", "2"]
+
+
+class TestFailingBenchmark:
+    def test_records_aggregate_and_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(_FAILING_BENCHMARK + ["--output-dir", str(out)]) == 3
+        assert "more than 10% of replicate fits failed" in \
+            capsys.readouterr().err
+        # the NaN rows read back through the records parser
+        records = read_records_csv(out / "records.csv")
+        assert [(r.replicate, r.method) for r in records] == [
+            (r, m) for r in (0, 1) for m in ("gr-alasso", "alasso", "lasso")]
+        for rec in records:
+            assert rec.status == "failed:ValueError"
+            assert np.isnan([rec.tpr, rec.fpr, rec.mse_beta, rec.mspe]).all()
+            assert rec.runtime_ms >= 0.0
+        rows = list(csv.DictReader(
+            line for line in (out / "aggregate.csv").read_text().splitlines()
+            if not line.startswith("#")))
+        assert [row["method"] for row in rows] == ["alasso", "gr-alasso",
+                                                   "lasso"]
+        for row in rows:
+            assert row["n_ok"] == "0"
+            assert all(row[f] == "nan" for f in row
+                       if f.endswith(("_mean", "_se")))
+
+
 class TestDefaults:
     def test_defaults_are_the_library_defaults(self):
         parser = build_parser()
@@ -464,21 +516,73 @@ class TestDefaults:
         assert bench.threads == grid_defaults["threads"].default
 
 
+def _child_env():
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
+    src = os.path.dirname(os.path.dirname(gralasso.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_module(*args):
+    return subprocess.run([sys.executable, "-m", "gralasso.cli", *args],
+                          capture_output=True, text=True, env=_child_env())
+
+
+# prints the top-level modules outside the standard library that are
+# loaded once `run` ran; `__main__` and its multiprocessing alias
+# `__mp_main__` are no imports
+_MODULES_AFTER = """
+import json, runpy, sys
+{run}
+std = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
+top = {{m.partition(".")[0] for m in sys.modules if not m.startswith("__")}}
+print(json.dumps(sorted(top - std)))
+"""
+
+
+def _third_party_modules(run):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER.format(
+        run=run)], capture_output=True, text=True, env=_child_env(),
+        check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        path, _, _ = _fixture_csv(tmp_path, seed=12)
+        """`python -m gralasso.cli` exits with the documented codes."""
+        sim = tmp_path / "sim"
+        proc = _run_module("simulate", "--n", "60", "--p", "5",
+                           "--output-dir", str(sim))
+        assert proc.returncode == 0, proc.stderr
+        train = str(sim / "train.csv")
         out = tmp_path / "out"
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(gralasso.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gralasso.cli", "fit", "--input",
-             str(path), "--response", "y", "--output-dir", str(out),
-             "--seed", "0"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
+        proc = _run_module("fit", "--input", train, "--response", "y",
+                           "--output-dir", str(out), "--seed", "0")
+        assert proc.returncode == 0, proc.stderr
         assert (out / "fit.json").exists()
+        proc = _run_module("fit", "--input", train, "--response", "nope",
+                           "--output-dir", str(tmp_path / "bad"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        proc = _run_module(*_FAILING_BENCHMARK, "--output-dir",
+                           str(tmp_path / "bench"))
+        assert proc.returncode == 3
+
+    def test_runtime_imports_numpy_only(self, tmp_path):
+        """A CLI run loads no third-party module beyond those that importing
+        numpy loads itself."""
+        path, _, _ = _fixture_csv(tmp_path, seed=13)
+        argv = ["gralasso", "fit", "--input", str(path), "--output-dir",
+                str(tmp_path / "out")]
+        run = (f"sys.argv = {argv!r}\n"
+               "try:\n"
+               "    runpy.run_module('gralasso.cli', run_name='__main__')\n"
+               "except SystemExit as exc:\n"
+               "    assert exc.code == 0, exc.code")
+        baseline = _third_party_modules("import numpy, numpy.random")
+        assert "numpy" in baseline
+        assert _third_party_modules(run) - baseline == {"gralasso"}
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from gralasso.covariance import (
     sqrt_factorize,
 )
 from gralasso.data import DataMatrix
-from gralasso.robust_stats import RobustSummary, std_normal_quantile
+from gralasso.robust_stats import std_normal_quantile
 
 from oracles import naive_midranks, pearson_scalar, score_matrix_by_column
 
@@ -130,10 +130,22 @@ class TestSpearman:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+class TestCorrelationMatrix:
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "must be square"),
+        (np.ones(3), "must be square"),
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), "must be symmetric"),
+        (np.array([[1.0, 0.5], [0.5, 0.9]]), "must have a unit diagonal"),
+    ])
+    def test_malformed_matrix_is_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationMatrix(matrix, "pearson")
+
+
 class TestAssemble:
     def test_identity_correlation(self):
         R = CorrelationMatrix(np.eye(2), "pearson", ("y", "x"))
-        cov = assemble_covariance(R, [RobustSummary(0, 2), RobustSummary(0, 3)])
+        cov = assemble_covariance(R, np.array([2.0, 3.0]))
         assert np.allclose(cov.sigma, np.diag([4.0, 9.0]))
 
     def test_unit_scales(self):

@@ -30,7 +30,7 @@ from gralasso.regression import (
     screen_top_k,
     weighted_lasso_cd,
 )
-from gralasso.robust_stats import RobustSummary, normal_scores, robust_summary
+from gralasso.robust_stats import normal_scores, robust_summary
 
 from oracles import (
     cd_reference,
@@ -859,9 +859,9 @@ def _per_column_summaries(values, estimator):
             xs, m = np.sort(col), col.size // 2
             loc = float(xs[m] if col.size % 2 else (xs[m - 1] + xs[m]) / 2)
             scale = qn_by_sorted_differences(col)
-            one = robust_summary(col)
+            one_loc, one_scale = robust_summary(col)
             # a zero Qn may be a realised -0.0; such a column raises anyway
-            assert _same_bits(one.location, loc) and one.scale == scale
+            assert _same_bits(one_loc, loc) and one_scale == scale
         locs.append(loc)
         scales.append(scale)
     return locs, scales
@@ -886,9 +886,9 @@ class TestColumnSummaries:
                     column_summaries(values, estimator)
                 assert str(err.value) == f"zero scale for column {names[zero[0]]!r}"
                 continue
-            got = column_summaries(values, estimator)
-            assert _same_bits([s.location for s in got], locs)
-            assert _same_bits([s.scale for s in got], scales)
+            got_locs, got_scales = column_summaries(values, estimator)
+            assert _same_bits(got_locs, locs)
+            assert _same_bits(got_scales, scales)
 
     def test_summaries_of_a_constant_column_name_it(self):
         values = np.column_stack([np.arange(12.0), np.ones(12),
@@ -901,17 +901,30 @@ class TestColumnSummaries:
         with pytest.raises(ValueError, match="at least two observations"):
             column_summaries(np.ones((1, 3)), "pearson")
 
+    def test_non_finite_summary_names_the_column(self):
+        # the mean of the second column overflows
+        values = np.column_stack([np.arange(4.0), np.full(4, 1e308)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="non-finite summary for column 'col1'"):
+                column_summaries(values, "pearson")
+
+    def test_summaries_are_arrays_response_first(self):
+        values = np.column_stack([np.arange(5.0), 10.0 * np.arange(5.0)])
+        locs, scales = column_summaries(values, "gr")
+        assert locs.tolist() == [2.0, 20.0]
+        assert scales[1] == 10.0 * scales[0] > 0.0
+
 
 class TestDestandardize:
     def test_identity_mapping(self):
-        summ = [RobustSummary(0.0, 1.0)] * 3
+        summ = (np.zeros(3), np.ones(3))
         beta, intercept = destandardize([1.0, -2.0], summ)
         assert np.allclose(beta, [1.0, -2.0])
         assert intercept == 0.0
 
     def test_hand_case(self):
-        summ = [RobustSummary(10.0, 2.0), RobustSummary(1.0, 4.0)]
-        beta, intercept = destandardize([1.0], summ)
+        beta, intercept = destandardize([1.0], ([10.0, 1.0], [2.0, 4.0]))
         assert beta[0] == pytest.approx(0.5)
         assert intercept == pytest.approx(9.5)
 
@@ -923,18 +936,20 @@ class TestDestandardize:
             rng.standard_normal(120)
         Z = DataMatrix.from_arrays(y, X)
         fit_raw = fit_gr_alasso(Z, seed=5)
-        summ = fit_raw.summaries
-        std_values = (Z.values - [s.location for s in summ]) / \
-            [s.scale for s in summ]
+        locs, scales = fit_raw.locations, fit_raw.scales
+        std_values = (Z.values - locs) / scales
         fit_std = fit_gr_alasso(DataMatrix(std_values, Z.columns), seed=5)
         assert fit_std.support == fit_raw.support
-        mapped = fit_std.beta * summ[0].scale / \
-            np.array([s.scale for s in summ[1:]])
+        mapped = fit_std.beta * scales[0] / scales[1:]
         assert np.allclose(mapped, fit_raw.beta, atol=1e-8)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError, match="zero scale"):
-            destandardize([1.0], [RobustSummary(0, 1), RobustSummary(0, 0)])
+            destandardize([1.0], ([0.0, 0.0], [1.0, 0.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            destandardize([1.0, 2.0], ([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestScreening:
@@ -1081,9 +1096,8 @@ class TestFitGrAlasso:
         y = X @ np.array([2.0, 0, 0, 1.0, 0, 0, 0]) + rng.standard_normal(80)
         fit = fit_gr_alasso(DataMatrix.from_arrays(y, X), seed=1)
         assert set(np.flatnonzero(fit.beta != 0.0)) == set(fit.support)
-        locs = np.array([s.location for s in fit.summaries[1:]])
         assert fit.intercept == pytest.approx(
-            fit.summaries[0].location - locs @ fit.beta, abs=1e-12)
+            fit.locations[0] - fit.locations[1:] @ fit.beta, abs=1e-12)
 
     def test_rule_min_no_sparser_than_1se(self):
         rng = np.random.default_rng(41)
@@ -1180,6 +1194,28 @@ class TestFitGrAlasso:
                                    rng.standard_normal((20, 2)))
         with pytest.raises(ValueError, match="unknown estimator"):
             fit_gr_alasso(Z, estimator="kendall")
+
+    def test_unknown_weights_mode_is_rejected_before_any_work(self,
+                                                               monkeypatch):
+        rng = np.random.default_rng(46)
+        X = rng.standard_normal((20, 2))
+        X[:, 0] = 1.0  # a constant column fails the column stage
+        Z = DataMatrix.from_arrays(rng.standard_normal(20), X)
+        with pytest.raises(ValueError, match="unknown weights mode 'bogus'"):
+            fit_gr_alasso(Z, weights="bogus")
+        monkeypatch.setattr(regression, "column_summaries", None)
+        with pytest.raises(ValueError, match="unknown weights mode 'bogus'"):
+            fit_gr_alasso(rng.standard_normal((20, 3)), weights="bogus")
+
+    def test_path_supports_are_the_nonzero_coefficients(self):
+        rng = np.random.default_rng(46)
+        X = rng.standard_normal((40, 5))
+        fit = fit_gr_alasso(DataMatrix.from_arrays(
+            X[:, 1] - X[:, 3] + rng.standard_normal(40), X), seed=2)
+        coefs = fit.path.coefficients
+        assert fit.path.supports == tuple(
+            tuple(int(j) for j in np.flatnonzero(b)) for b in coefs)
+        assert fit.support == fit.path.supports[fit.cv.idx_1se]
 
     def test_spearman_estimator_runs(self):
         rng = np.random.default_rng(47)
