@@ -43,7 +43,6 @@ from .regression import (
     marginal_gr_correlations,
     penalized_objective,
     screen_top_k,
-    weighted_lasso_cd,
 )
 from .simulation import (
     BenchmarkRecord,
@@ -95,7 +94,6 @@ __all__ = [
     "marginal_gr_correlations",
     "penalized_objective",
     "screen_top_k",
-    "weighted_lasso_cd",
     "BenchmarkRecord",
     "ContaminationSpec",
     "SelectionRates",

@@ -29,12 +29,7 @@ __all__ = [
 
 
 class _Partitions:
-    """The predictor count and the response-first blocks of the square
-    matrix `_full`, response in slot 0."""
-
-    @property
-    def p(self) -> int:
-        return self._full.shape[0] - 1
+    """The blocks of the square matrix `_full`, response in slot 0."""
 
     @property
     def yy(self) -> float:

@@ -131,33 +131,36 @@ class DataMatrix:
         write_csv(path, self.columns, self.values)
 
 
-# the bytes of a line of unquoted decimal, nan and inf cells
-_PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\r\n"
+# the bytes of a line of decimal, nan and inf cells, quoted or not
+_PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\r\n\""
 
 
 class _NotPlain(Exception):
     """A line holds a byte outside _PLAIN or is too long for one cell."""
 
 
-def _plain_lines(fh, limit):
+def _plain_lines(fh, limit, seen):
     for line in fh:
         if len(line) > limit or line.translate(None, _PLAIN):
             raise _NotPlain
         # the checked parser skips whitespace-only lines too
         if line.strip():
+            seen[0] += 1
             yield line
 
 
 def _bulk_rows(path, skip, width):
     """The rows after the first `skip` lines of the file at `path`, parsed
     in one np.loadtxt pass as a float table `width` cells wide, or None
-    where _checked_rows must decide: a line of other bytes (quotes, '_',
-    '#', non-ASCII, control characters that loadtxt strips as space) or
-    longer than csv.field_size_limit(), a lone CR in the skipped header, a
-    parse error or warning, no rows, a ragged or wrong width, or a
-    non-finite cell. Whitespace-only lines are skipped, as _checked_rows
-    skips them. On plain lines loadtxt and float() read the same grammar to
-    the same bits."""
+    where _checked_rows must decide: a line of other bytes ('_', '#',
+    non-ASCII, control characters that loadtxt strips as space) or longer
+    than csv.field_size_limit(), a lone CR in the skipped header, a parse
+    error or warning, a quoted cell spanning lines (fewer rows than lines),
+    no rows, a ragged or wrong width, or a non-finite cell. Whitespace-only
+    lines are skipped, as _checked_rows skips them. On plain lines, cells
+    quoted or not, loadtxt and float() read the same grammar to the same
+    bits."""
+    seen = [0]  # lines handed to loadtxt
     with open(path, "rb") as fh:
         for line in itertools.islice(fh, skip):
             # csv counted a lone CR as a line end; binary lines split at LF
@@ -166,12 +169,12 @@ def _bulk_rows(path, skip, width):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                arr = np.loadtxt(_plain_lines(fh, csv.field_size_limit()),
-                                 delimiter=",", comments=None, ndmin=2,
-                                 dtype=float, encoding="ascii")
+                arr = np.loadtxt(_plain_lines(fh, csv.field_size_limit(), seen),
+                                 delimiter=",", comments=None, quotechar='"',
+                                 ndmin=2, dtype=float, encoding="ascii")
             except (_NotPlain, ValueError):
                 return None
-    if (caught or arr.shape[0] == 0 or arr.shape[1] != width
+    if (caught or not 0 < arr.shape[0] == seen[0] or arr.shape[1] != width
             or not np.isfinite(arr).all()):
         return None
     return arr

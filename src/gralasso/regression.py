@@ -42,7 +42,6 @@ __all__ = [
     "initial_estimate_ridge",
     "adaptive_weights",
     "lambda_grid",
-    "weighted_lasso_cd",
     "penalized_objective",
     "fit_path",
     "cross_validate",
@@ -212,8 +211,7 @@ def adaptive_weights(beta_init, exclusion_eps: float = 1e-10,
                      source: str = "direct-inverse") -> AdaptiveWeights:
     """Weights 1/|beta_init_j|; magnitudes at or below `exclusion_eps` get an
     infinite weight, excluding the predictor at every lambda."""
-    if exclusion_eps < 0:
-        raise ValueError("exclusion_eps must be nonnegative")
+    _check_eps(exclusion_eps)
     mag = np.abs(np.asarray(beta_init, dtype=float))
     w = np.full(mag.shape, np.inf)
     keep = mag > exclusion_eps
@@ -221,14 +219,16 @@ def adaptive_weights(beta_init, exclusion_eps: float = 1e-10,
     return AdaptiveWeights(w, source)
 
 
+def _check_eps(exclusion_eps):
+    if not exclusion_eps >= 0.0:
+        raise ValueError("exclusion_eps must be nonnegative")
+
+
 def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
                 ratio: float = 1e-3) -> np.ndarray:
     """Descending log-spaced grid from lambda_max (smallest lambda with an
     all-zero solution) down to lambda_max * ratio."""
-    if n_lambda < 2:
-        raise ValueError("n_lambda must be at least 2")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be in (0, 1)")
+    _check_grid_shape(n_lambda, ratio)
     wv = _weight_vector(w)
     c = np.asarray(c, dtype=float)
     finite = np.isfinite(wv)
@@ -239,6 +239,13 @@ def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
         warnings.warn("degenerate lambda grid: all admissible covariances are zero")
         return np.zeros(1)
     return np.geomspace(lam_max, lam_max * ratio, n_lambda)
+
+
+def _check_grid_shape(n_lambda, ratio):
+    if n_lambda < 2:
+        raise ValueError("n_lambda must be at least 2")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must be in (0, 1)")
 
 
 def _kkt(gram, c, grid, wv, slack, n, coefs):
@@ -260,8 +267,9 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     (F, G, p), (F, G) and (F, G) for F problems (grams (F, p, p), cs (F, p))
     and G grid points.
 
-    The grid must be finite, nonnegative and strictly descending, and the
-    grams, cs and weights of matching sizes; any other raises ValueError.
+    The grid must be finite, nonnegative and strictly descending, `tol`
+    finite and nonnegative, and the grams, cs and weights of matching
+    sizes; any other raises ValueError.
     From lambda = +inf and an empty active set A, each piece solves
     G_AA [u v] = [c_A, w_A s_A / (2n)] once, so b_A = u - lambda v with the
     active signs s, a = 2n(c - G_:A u) and d = 2n G_:A v. Every
@@ -294,6 +302,8 @@ def _solve_path(grams, cs, wv, grid, n, tol):
             and (np.diff(grid) < 0.0).all()):
         raise ValueError("lambda grid must be finite, nonnegative and "
                          "strictly descending")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     n_prob, p = cs.shape
     if grams.shape != (n_prob, p, p) or wv.shape != (p,):
         raise ValueError("dimension mismatch between gram, c and weights")
@@ -399,22 +409,6 @@ def _ranges(starts, counts):
         starts - (np.cumsum(counts) - counts), counts)
 
 
-def weighted_lasso_cd(gram, c, w, lam: float, n: int,
-                      tol: float = 1e-7) -> np.ndarray:
-    """Minimise n b'Gb - 2n b'c + lambda sum w_j |b_j| for a finite,
-    nonnegative `lam`: the exact path (`_solve_path`) traced from lambda_max
-    down to `lam`, with a KKT certificate within 10 * tol * n; an
-    uncertified solution warns."""
-    b, pieces, ok = _solve_path(np.asarray(gram, dtype=float)[None],
-                                np.asarray(c, dtype=float)[None],
-                                _weight_vector(w), np.array([float(lam)]), n,
-                                tol)
-    if not ok[0, 0]:
-        warnings.warn(f"the lasso path stopped after {pieces[0, 0]} pieces "
-                      "without a KKT certificate; returning its solution")
-    return b[0, 0]
-
-
 def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
     """Objective value n b'Gb - 2n b'c + lambda sum w_j |b_j|."""
     b = np.asarray(b, dtype=float)
@@ -457,10 +451,7 @@ def _cv_folds(values, folds, seed):
     fold's gram/c come from the Pearson correlation of the other blocks'
     rows, taken in sorted row order.
     """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
-    if values.shape[0] < folds:
-        raise ValueError("need at least as many rows as folds")
+    _check_folds(folds, values.shape[0])
     perm = np.random.default_rng(seed).permutation(values.shape[0])
     blocks = np.array_split(perm, folds)
     corrs = []
@@ -472,7 +463,14 @@ def _cv_folds(values, folds, seed):
     return corrs[:, 1:, 1:], corrs[:, 1:, 0], blocks
 
 
-def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
+def _check_folds(folds, n_rows):
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
+    if n_rows < folds:
+        raise ValueError("need at least as many rows as folds")
+
+
+def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0,
                    tol: float = 1e-7) -> CvCurve:
     """K-fold cross-validation on the pseudo-data (response in column 0).
 
@@ -485,11 +483,10 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0, n=None,
     whose mean error stays within one standard error of it.
     """
     values, _ = as_table(pseudo)
-    if n is None:
-        n = values.shape[0]
     grid = np.asarray(grid, dtype=float)
     grams, cs, blocks = _cv_folds(values, folds, seed)
-    coefs, _, conv = _solve_path(grams, cs, _weight_vector(w), grid, n, tol)
+    coefs, _, conv = _solve_path(grams, cs, _weight_vector(w), grid,
+                                 values.shape[0], tol)
     return _cv_curve(values, blocks, grid, coefs, conv)
 
 
@@ -586,8 +583,8 @@ def _ridge_kappa_by_cv(values, folds, seed):
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
                   kappa=0.1, exclusion_eps: float = 1e-10,
                   n_lambda: int = 100, lambda_ratio=None, folds: int = 5,
-                  rule: str = "1se", seed: int = 0, fixed_lambda=None,
-                  tol: float = 1e-7) -> SelectionFit:
+                  rule: str = "1se", seed: int = 0,
+                  fixed_lambda=None) -> SelectionFit:
     """Fit the full selection pipeline on a response-first data table.
 
     Steps: per-column summaries -> pseudo-data scores -> correlation matrix
@@ -603,7 +600,8 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     `fixed_lambda` skips the grid and CV and solves at the given penalty
     alone: `path` is then a one-point path and `n_lambda`, `lambda_ratio`
     and `rule` go unused. With `rule="min"` the CV-minimising lambda is used
-    instead of the one-standard-error choice.
+    instead of the one-standard-error choice. The options are checked
+    before any work, also those that the chosen mode leaves unused.
     """
     Z = DataMatrix(*as_table(Z))
     if Z.n < 10:
@@ -617,13 +615,19 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
         raise ValueError(f"unknown selection rule {rule!r}")
     if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
         raise ValueError("lambda must be finite and nonnegative")
+    if kappa != "cv" and (isinstance(kappa, str) or not 0.0 < kappa < np.inf):
+        raise ValueError('kappa must be positive and finite, or "cv"')
     n, p = Z.n, Z.p
+    low_dim = p < n / 2
+    ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
+    _check_eps(exclusion_eps)
+    _check_grid_shape(n_lambda, ratio)
+    _check_folds(folds, n)
 
     summaries = column_summaries(Z, estimator)
     scores = score_matrix(Z, kind)
     R = CorrelationMatrix(_pearson_of_values(scores, Z.columns), kind, Z.columns)
 
-    low_dim = p < n / 2
     if weights == "unit":
         wobj = AdaptiveWeights(np.ones(p), "unit")
     else:
@@ -645,21 +649,20 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
             wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
 
     if fixed_lambda is None:
-        ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
         grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
         # the folds and the full-data path, traced in lockstep
         grams, cs, blocks = _cv_folds(scores, folds, seed)
         grams = np.concatenate([grams, R.xx[None]])
         cs = np.concatenate([cs, R.xy[None]])
         coefs, pieces, conv = _solve_path(grams, cs, wobj.weights, grid, n,
-                                          tol)
+                                          1e-7)
         cv = _cv_curve(scores, blocks, grid, coefs[:-1], conv[:-1])
         idx = cv.idx_1se if rule == "1se" else cv.idx_min
         # a copy, so that the fit does not hold the fold rows
         path = _lasso_path(grid, coefs[-1].copy(), pieces[-1], conv[-1])
     else:
         grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
-        path = fit_path(R, wobj, grid, n, tol=tol)
+        path = fit_path(R, wobj, grid, n)
     beta, intercept = destandardize(path.coefficients[idx], summaries)
     return SelectionFit(beta=beta, intercept=intercept,
                         support=_support(path.coefficients[idx]),

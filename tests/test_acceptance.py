@@ -18,7 +18,6 @@ from gralasso.regression import (
     fit_gr_alasso,
     fit_path,
     lambda_grid,
-    weighted_lasso_cd,
 )
 from gralasso.robust_stats import qn_scale
 from gralasso.simulation import (
@@ -99,7 +98,7 @@ def test_criterion_2_solver_vs_grid_oracle():
         n = int(rng.integers(20, 80))
         lam_max = float(np.max(2.0 * n * np.abs(c) / w))
         lam = float(rng.uniform(0.05, 0.8)) * lam_max
-        b = weighted_lasso_cd(gram, c, w, lam, n, tol=1e-9)
+        b = fit_path(_Parts(gram, c), w, [lam], n, tol=1e-9).coefficients[0]
         ref = grid_minimize(gram, c, w, lam, n,
                             half_width=float(np.max(np.abs(b)) + 0.5))
         worst = max(worst, float(np.max(np.abs(b - ref))))

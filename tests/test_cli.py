@@ -105,6 +105,19 @@ class TestFit:
             assert "folds must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--kappa", "-1"], "kappa must be positive"),
+        (["--folds", "1", "--lambda", "1"], "folds must be at least 2"),
+    ], ids=["kappa", "folds-with-lambda"])
+    def test_option_no_mode_uses_is_usage_error(self, tmp_path, capsys,
+                                                extra, message):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--output-dir", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_are_byte_identical(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=5)
         out1, out2 = tmp_path / "a", tmp_path / "b"

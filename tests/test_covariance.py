@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +310,17 @@ class TestWholeTableScores:
             out = score_matrix(values, kind)
             assert np.array_equal(out, ref)
             assert out.flags.f_contiguous
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pearson_corr_matrix(np.ones((1, 2))),
+     "need at least two observations"),
+    (lambda: gaussian_rank_corr_matrix(np.array([[1.0, 2.0], [3.0, 5.0]])),
+     "need at least three observations"),
+    (lambda: assemble_covariance(CorrelationMatrix(np.eye(2), "pearson"),
+                                 [1.0]),
+     "1 scales for a 2-column matrix"),
+], ids=["pearson-one-row", "rank-two-rows", "scale-count"])
+def test_errors_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -41,6 +41,27 @@ class TestConstruction:
             DataMatrix(np.empty((0, 2)), ("y", "x"))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: DataMatrix.from_arrays(np.ones(3), np.ones(3)),
+     "X must be 2-D with one row per response entry"),
+    (lambda tmp: DataMatrix.from_arrays(np.ones(3), np.ones((2, 2))),
+     "X must be 2-D with one row per response entry"),
+    (lambda tmp: DataMatrix.from_csv(
+        _toy(tmp, "a" * (csv.field_size_limit() + 1) + ",y\n1,2\n"), "y"),
+     "unreadable header: field larger than field limit"),
+    (lambda tmp: DataMatrix(np.ones(3), ("y", "a", "b")),
+     "expected a 2-D data table"),
+    (lambda tmp: data.as_table(np.ones((2, 2, 2))),
+     "expected a 2-D data table"),
+    (lambda tmp: DataMatrix(np.ones((2, 3)), ("y", "a")),
+     "2 column names for 3 columns"),
+], ids=["from-arrays-1d", "from-arrays-rows", "header", "table-1d",
+        "table-3d", "name-count"])
+def test_errors_are_named(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
+
+
 class TestCsv:
     def test_reorders_response_first(self, tmp_path):
         path = _toy(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
@@ -182,8 +203,9 @@ _DIRT = st.text("\x0b\x0c\x1c\x1d\x1e\x1f#'\"_\u0661\uff11\u00a0 \t",
 @st.composite
 def _csv_texts(draw):
     """A y,a[,b] header over one to six rows of finite, special or dirtied
-    cells, maybe ragged, with CR, LF or CRLF ends (one kind per file or
-    mixed) and blank lines."""
+    cells, maybe ragged, with whole cells maybe quoted (every cell or some,
+    a few holding a line end), with CR, LF or CRLF ends (one kind per file
+    or mixed) and blank lines."""
     width = draw(st.integers(2, 3))
     cell = _FINITE if draw(st.booleans()) else st.one_of(_FINITE, _SPECIAL)
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
@@ -201,6 +223,13 @@ def _csv_texts(draw):
             row.append(draw(cell))
         else:
             row.pop()
+    quoting = draw(st.sampled_from(["none", "all", "some"]))
+    for row in rows:
+        for j, value in enumerate(row):
+            if quoting == "all" or quoting == "some" and draw(st.booleans()):
+                head, tail = draw(st.sampled_from(
+                    [("", "")] * 4 + [("", "\n"), ("\r\n", ""), (" ", "\r")]))
+                row[j] = f'"{head}{value}{tail}"'
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))),
@@ -255,10 +284,26 @@ class TestBulkParse:
         assert np.array_equal(Z.values, [[1, 2], [3, 4]])
 
     @pytest.mark.parametrize("text", [
-        "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", 'y,a\n1,"2"\n', "y,a\n1,2#3\n",
-        "y,a\r1,2\n", "y,a\n1,inf\n", "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",
+        'y,a\n1,"2"\n', 'y,a\r\n"1","2"\r\n"3",4\r\n',
+        'y,a\n" 1 ","2"\n"3","\t4"\n', 'y,a\n"-0","2"\n"3" ,"4e0"\n',
+    ], ids=["quoted", "quoted-crlf", "quoted-spaces", "quoted-signed-zero"])
+    def test_quoted_cells_take_the_bulk_pass(self, tmp_path, text):
+        path = _toy(tmp_path, text)
+        with mock.patch.object(data, "_bulk_rows", return_value=None):
+            expected = _read(path)
+        assert isinstance(expected, tuple)
+        with mock.patch.object(data, "_checked_rows",
+                               side_effect=AssertionError):
+            assert _read(path) == expected
+
+    @pytest.mark.parametrize("text", [
+        "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", "y,a\n1,2#3\n", "y,a\r1,2\n",
+        "y,a\n1,inf\n", "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",
         "y,a\n1,2\n" + "0" * csv.field_size_limit() + "1,2\n",
-    ], ids=["leading-fs", "trailing-us", "quoted", "hash", "cr-header", "inf",
-            "wide", "narrow", "no-rows", "long-line"])
+        # a quoted line end: the row spans lines, and csv numbers the rows
+        'y,a\n"1\n",2\n', 'y,a\n"1,2",3\n', 'y,a\n1,"nan"\n',
+    ], ids=["leading-fs", "trailing-us", "hash", "cr-header", "inf", "wide",
+            "narrow", "no-rows", "long-line", "quoted-lf", "quoted-comma",
+            "quoted-nan"])
     def test_declines_what_it_must_not_read(self, tmp_path, text):
         assert data._bulk_rows(_toy(tmp_path, text), 1, 2) is None

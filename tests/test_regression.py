@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -28,7 +29,6 @@ from gralasso.regression import (
     marginal_gr_correlations,
     penalized_objective,
     screen_top_k,
-    weighted_lasso_cd,
 )
 from gralasso.robust_stats import normal_scores, robust_summary
 
@@ -149,7 +149,7 @@ class TestAdaptiveWeights:
         assert w.weights[1] == np.inf
         # the pinned coordinate stays zero at every lambda
         gram = np.eye(2)
-        b = weighted_lasso_cd(gram, np.array([0.9, 0.9]), w, 0.1, 50)
+        b = fit_path(_Parts(gram, [0.9, 0.9]), w, [0.1], 50).coefficients[0]
         assert b[1] == 0.0 and b[0] != 0.0
 
     def test_scaling_equivalence(self):
@@ -161,9 +161,9 @@ class TestAdaptiveWeights:
         w1 = adaptive_weights(beta_init)
         w2 = adaptive_weights(scale * beta_init)
         lam = 4.0
-        b1 = weighted_lasso_cd(gram, cvec, w1, lam, 30, tol=1e-10)
-        b2 = weighted_lasso_cd(gram, cvec, w2, lam * scale, 30, tol=1e-10)
-        assert np.allclose(b1, b2, atol=1e-8)
+        b1 = fit_path(_Parts(gram, cvec), w1, [lam], 30, tol=1e-10)
+        b2 = fit_path(_Parts(gram, cvec), w2, [lam * scale], 30, tol=1e-10)
+        assert np.allclose(b1.coefficients, b2.coefficients, atol=1e-8)
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="exclusion_eps"):
@@ -210,10 +210,10 @@ class TestLambdaGrid:
         rng = np.random.default_rng(24)
         gram, c, w = _random_instance(rng, 4)
         grid = lambda_grid(gram, c, w, 60)
-        b = weighted_lasso_cd(gram, c, w, grid[0], 60)
+        b = fit_path(_Parts(gram, c), w, [grid[0]], 60).coefficients[0]
         assert np.array_equal(b, np.zeros(4))
         # just below lambda_max something activates
-        b = weighted_lasso_cd(gram, c, w, grid[0] * 0.99, 60)
+        b = fit_path(_Parts(gram, c), w, [grid[0] * 0.99], 60).coefficients[0]
         assert np.any(b != 0.0)
 
 
@@ -221,7 +221,7 @@ class TestCoordinateDescent:
     def test_unpenalized_limit(self):
         rng = np.random.default_rng(25)
         gram, c, w = _random_instance(rng, 4)
-        b = weighted_lasso_cd(gram, c, w, 0.0, 80, tol=1e-10)
+        b = fit_path(_Parts(gram, c), w, [0.0], 80, tol=1e-10).coefficients[0]
         assert np.allclose(b, np.linalg.solve(gram, c), atol=1e-7)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -231,7 +231,7 @@ class TestCoordinateDescent:
         gram, c, w = _random_instance(rng, p)
         lam_max = np.max(2.0 * 40 * np.abs(c) / w)
         lam = float(rng.uniform(0.1, 0.7)) * lam_max
-        b = weighted_lasso_cd(gram, c, w, lam, 40, tol=1e-10)
+        b = fit_path(_Parts(gram, c), w, [lam], 40, tol=1e-10).coefficients[0]
         ref = grid_minimize(gram, c, w, lam, 40,
                             half_width=float(np.max(np.abs(b)) + 0.5))
         assert np.max(np.abs(b - ref)) <= 1e-4
@@ -245,7 +245,7 @@ class TestCoordinateDescent:
         gram, c, w = _random_instance(rng, 6)
         lam_max = np.max(2.0 * 50 * np.abs(c) / w)
         for lam in (0.0, 0.05 * lam_max, 0.3 * lam_max, 0.9 * lam_max):
-            b = weighted_lasso_cd(gram, c, w, lam, 50)
+            b = fit_path(_Parts(gram, c), w, [lam], 50).coefficients[0]
             assert _kkt_holds(gram, c, w, lam, 50, b, 1e-7)
 
     def test_objective_nonincreasing_over_sweeps(self):
@@ -259,7 +259,7 @@ class TestCoordinateDescent:
             val = penalized_objective(gram, c, w, lam, 30, b)
             assert val <= prev + 1e-9 * (1 + abs(prev))
             prev = val
-        exact = weighted_lasso_cd(gram, c, w, lam, 30)
+        exact = fit_path(_Parts(gram, c), w, [lam], 30).coefficients[0]
         best = penalized_objective(gram, c, w, lam, 30, exact)
         assert best <= prev + 1e-9 * (1 + abs(prev))
 
@@ -273,20 +273,20 @@ class TestCoordinateDescent:
     def test_degenerate_predictor_variance(self):
         gram = np.diag([1.0, 0.0])
         with pytest.raises(ValueError, match="degenerate predictor variance"):
-            weighted_lasso_cd(gram, np.array([0.5, 0.5]), np.ones(2), 0.1, 10)
+            fit_path(_Parts(gram, [0.5, 0.5]), np.ones(2), [0.1], 10)
 
     def test_no_predictors(self):
-        b = weighted_lasso_cd(np.zeros((0, 0)), [], [], 1.0, 10)
-        assert b.shape == (0,)
+        path = fit_path(_Parts(np.zeros((0, 0)), []), [], [1.0], 10)
+        assert path.coefficients.shape == (1, 0)
 
     def test_dimension_mismatch(self):
         # every entry point reaches the one check in _solve_path, for a
         # mismatched c and for weights of the wrong length
         grid = np.array([0.1])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            weighted_lasso_cd(np.eye(3), np.ones(2), np.ones(2), 0.1, 10)
+            fit_path(_Parts(np.eye(3), np.ones(2)), np.ones(2), grid, 10)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            weighted_lasso_cd(np.eye(3), np.ones(3), np.ones(2), 0.1, 10)
+            fit_path(_Parts(np.eye(3), np.ones(3)), np.ones(2), grid, 10)
         Z = np.random.default_rng(0).standard_normal((20, 4))
         with pytest.raises(ValueError, match="dimension mismatch"):
             fit_path(pearson_corr_matrix(Z), np.ones(2), grid, 20)
@@ -296,7 +296,7 @@ class TestCoordinateDescent:
     def test_negative_raw_weight_is_rejected(self):
         # a negative weight rewards |b_j|: the objective has no minimiser
         with pytest.raises(ValueError, match="weights must be positive"):
-            weighted_lasso_cd(np.eye(2), [0.5, 0.3], [-1.0, 1.0], 1.0, 10)
+            fit_path(_Parts(np.eye(2), [0.5, 0.3]), [-1.0, 1.0], [1.0], 10)
 
 
 
@@ -528,7 +528,7 @@ class TestLockstepPaths:
         _assert_rows_match_stacks_of_one(grams, cs, w, grid, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b = weighted_lasso_cd(grams[1], cs[1], w, 0.0, 40)
+            b = fit_path(_Parts(grams[1], cs[1]), w, [0.0], 40).coefficients[0]
         # lambda = 0 is least squares on a full-rank gram
         assert np.allclose(b, np.linalg.solve(grams[1], cs[1]), atol=1e-10)
 
@@ -564,7 +564,7 @@ class TestActiveSetSolver:
         tol = 1e-7
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an uncertified solve warns
-            b = weighted_lasso_cd(gram, c, w, lam, n, tol=tol)
+            b = fit_path(_Parts(gram, c), w, [lam], n, tol=tol).coefficients[0]
         ref, _, _ = cd_reference(gram, c, w, lam, n, b0, tol, 10000)
         assert _kkt_holds(gram, c, w, lam, n, b, tol)
         obj = penalized_objective_naive(gram, c, w, lam, n, b)
@@ -585,7 +585,8 @@ class TestActiveSetSolver:
         gram, c, w = (np.asarray(a, dtype=float) for a in (gram, c, w))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b = weighted_lasso_cd(gram, c, w, lam, 40, tol=1e-7)
+            b = fit_path(_Parts(gram, c), w, [lam], 40,
+                         tol=1e-7).coefficients[0]
         assert _kkt_holds(gram, c, w, lam, 40, b, 1e-7)
         ref, _, _ = cd_reference(gram, c, w, lam, 40, warm, 1e-7, 10000)
         ref_obj = penalized_objective_naive(gram, c, w, lam, 40, ref)
@@ -695,8 +696,9 @@ class TestFitPath:
         grid = lambda_grid(gram, c, w, 45, n_lambda=20)
         path = fit_path(_embed(gram, c), w, grid, 45)
         for i, lam in enumerate(grid):
-            cold = weighted_lasso_cd(gram, c, w, float(lam), 45)
-            assert np.allclose(path.coefficients[i], cold, atol=1e-6)
+            cold = fit_path(_Parts(gram, c), w, [lam], 45)
+            assert np.allclose(path.coefficients[i], cold.coefficients[0],
+                               atol=1e-6)
 
     def test_requires_descending_grid(self):
         with pytest.raises(ValueError, match="descending"):
@@ -704,8 +706,9 @@ class TestFitPath:
                      np.array([1.0, 2.0]), 10)
 
 
+# the last three are one-point grids: a single lambda is a one-point path
 _BAD_GRIDS = [[5.0, -1.0], [np.inf, 10.0], [1.0, np.nan], [1.0, 50.0],
-              [2.0, 2.0]]
+              [2.0, 2.0], [np.nan], [-1.0], [np.inf]]
 
 
 class TestGridCheck:
@@ -725,11 +728,6 @@ class TestGridCheck:
         pseudo = np.random.default_rng(36).standard_normal((20, 3))
         with pytest.raises(ValueError, match=self.MESSAGE):
             cross_validate(pseudo, np.ones(2), np.array(grid), folds=4)
-
-    @pytest.mark.parametrize("lam", [np.nan, -1.0, np.inf])
-    def test_weighted_lasso_cd(self, lam):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            weighted_lasso_cd(np.eye(2), [0.3, -0.2], np.ones(2), lam, 10)
 
 
 class TestCrossValidate:
@@ -1151,7 +1149,7 @@ class TestFitGrAlasso:
         path = fit_path(fit.correlation, fit.weights, grid, n)
         cv = cross_validate(score_matrix(Z, fit.estimator), fit.weights,
                             grid, folds=kwargs.get("folds", 5),
-                            seed=kwargs["seed"], n=n)
+                            seed=kwargs["seed"])
         assert fit.path.supports == path.supports
         assert np.array_equal(fit.path.iterations, path.iterations)
         assert np.array_equal(fit.path.converged, path.converged)
@@ -1206,6 +1204,30 @@ class TestFitGrAlasso:
         monkeypatch.setattr(regression, "column_summaries", None)
         with pytest.raises(ValueError, match="unknown weights mode 'bogus'"):
             fit_gr_alasso(rng.standard_normal((20, 3)), weights="bogus")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kappa": -1.0}, "kappa must be positive"),
+        ({"kappa": "CV"}, "kappa must be positive"),
+        ({"kappa": np.nan}, "kappa must be positive"),
+        ({"kappa": np.inf}, "kappa must be positive"),
+        ({"weights": "direct", "kappa": 0.0}, "kappa must be positive"),
+        ({"folds": 0, "fixed_lambda": 1.0}, "folds must be at least 2"),
+        ({"folds": 101}, "need at least as many rows as folds"),
+        ({"n_lambda": 1, "fixed_lambda": 1.0}, "n_lambda must be at least 2"),
+        ({"lambda_ratio": 2.0, "fixed_lambda": 1.0}, "ratio must be in (0, 1)"),
+        ({"lambda_ratio": 0.0}, "ratio must be in (0, 1)"),
+        ({"exclusion_eps": -1.0, "weights": "unit"},
+         "exclusion_eps must be nonnegative"),
+    ])
+    def test_options_are_checked_before_any_work(self, kwargs, message):
+        # also options the mode leaves unused; a constant column would fail
+        # the column stage first
+        rng = np.random.default_rng(56)
+        X = rng.standard_normal((100, 8))
+        X[:, 0] = 1.0
+        Z = DataMatrix.from_arrays(X[:, 1] + rng.standard_normal(100), X)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_gr_alasso(Z, **kwargs)
 
     def test_path_supports_are_the_nonzero_coefficients(self):
         rng = np.random.default_rng(46)
@@ -1271,3 +1293,54 @@ class TestFitGrAlasso:
         assert 2 in fit.support
         with pytest.raises(ValueError, match="ill-conditioned"):
             fit_gr_alasso(Z, weights="direct", seed=0)
+
+
+def _fit_table():
+    rng = np.random.default_rng(57)
+    return rng.standard_normal((20, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AdaptiveWeights(np.ones((2, 2)), "given"),
+     "weights must be a vector"),
+    (lambda: column_summaries(_fit_table(), "kendall"),
+     "unknown estimator 'kendall'"),
+    (lambda: lambda_grid(np.eye(2), [0.5, 0.3], np.ones(2), 10, n_lambda=1),
+     "n_lambda must be at least 2"),
+    (lambda: lambda_grid(np.eye(2), [0.5, 0.3], np.ones(2), 10, ratio=1.0),
+     "ratio must be in (0, 1)"),
+    (lambda: cross_validate(_fit_table()[:3], np.ones(2), [1.0], folds=4),
+     "need at least as many rows as folds"),
+    (lambda: fit_gr_alasso(_fit_table(), rule="max"),
+     "unknown selection rule 'max'"),
+    (lambda: fit_path(_Parts(np.eye(2), [0.5, 0.3]), np.ones(2), [1.0], 10,
+                      tol=-1e-7),
+     "tol must be finite and nonnegative"),
+    (lambda: fit_path(_Parts(np.eye(2), [0.5, 0.3]), np.ones(2), [1.0], 10,
+                      tol=np.nan),
+     "tol must be finite and nonnegative"),
+    (lambda: cross_validate(_fit_table(), np.ones(2), [1.0], tol=np.inf),
+     "tol must be finite and nonnegative"),
+], ids=["weights-matrix", "estimator", "n-lambda", "ratio", "rows-folds",
+        "rule", "tol-negative", "tol-nan", "tol-inf"])
+def test_errors_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_objective_is_infinite_with_an_active_pinned_coefficient():
+    w = np.array([1.0, np.inf])
+    assert penalized_objective(np.eye(2), [0.5, 0.3], w, 1.0, 10,
+                               [0.2, 0.0]) < np.inf
+    assert penalized_objective(np.eye(2), [0.5, 0.3], w, 1.0, 10,
+                               [0.2, 0.1]) == np.inf
+
+
+def test_uncertified_path_warns():
+    # zero slack: grid points with an active coefficient cannot certify
+    rng = np.random.default_rng(58)
+    gram, c, w = _random_instance(rng, 5)
+    grid = lambda_grid(gram, c, w, 40, n_lambda=5)
+    with pytest.warns(UserWarning, match="did not certify convergence"):
+        path = fit_path(_Parts(gram, c), w, grid, 40, tol=0.0)
+    assert not path.converged.all()

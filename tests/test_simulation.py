@@ -390,3 +390,27 @@ class TestStabilityProtocol:
         with pytest.raises(ValueError,
                            match=f"zero scale for column {column!r}"):
             selection_stability_study(Z, n_redundant=1, replicates=1)
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: SimDesign(n=0), "n and p must be positive"),
+    (lambda tmp: SimDesign(p=0), "n and p must be positive"),
+    (lambda tmp: SimDesign(noise_sd=0.0), "noise_sd must be positive"),
+    (lambda tmp: SimDesign(p=3, beta_true=[1.0, 2.0]),
+     "beta_true must have length p"),
+    (lambda tmp: ContaminationSpec(0.1, -1.0),
+     "magnitude must be nonnegative"),
+    (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], replicates=0),
+     "replicates must be positive"),
+    (lambda tmp: read_records_csv(_written(tmp / "empty.csv", "\n# seed=1\n")),
+     "empty records file"),
+], ids=["n", "p", "noise-sd", "beta-length", "magnitude", "replicates",
+        "empty-records"])
+def test_errors_are_named(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
