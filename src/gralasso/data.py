@@ -9,6 +9,7 @@ argument.
 import csv
 import itertools
 import math
+import re
 import string
 import warnings
 from dataclasses import dataclass
@@ -105,7 +106,9 @@ class DataMatrix:
         first bad cell.
         """
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            # strict: text after a cell's closing quote is an error, not
+            # part of the cell ("1"2 is not 12)
+            reader = csv.reader(map(_trim_after_quotes, fh), strict=True)
             try:
                 header = next(reader)
             except StopIteration:
@@ -133,15 +136,33 @@ class DataMatrix:
 
 # the bytes of a line of decimal, nan and inf cells, quoted or not
 _PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\r\n\""
+# a cell quoted whole, maybe with spaces or tabs after its closing quote
+_QUOTED_CELL = re.compile(rb'"[^"]*"[ \t]*')
+# spaces or tabs between a quote and a delimiter or line end
+_SPACE_AFTER_QUOTE = re.compile(r'"[ \t]+(?=[,\r\n]|$)')
+
+
+def _trim_after_quotes(line):
+    """`line` without the spaces and tabs after a closing quote, which
+    float() would ignore inside the cell and csv's strict dialect rejects
+    outside it."""
+    return _SPACE_AFTER_QUOTE.sub('"', line) if '"' in line else line
 
 
 class _NotPlain(Exception):
-    """A line holds a byte outside _PLAIN or is too long for one cell."""
+    """A line holds a byte outside _PLAIN, a quote that does not enclose a
+    whole cell, or is too long for one cell."""
 
 
 def _plain_lines(fh, limit, seen):
     for line in fh:
         if len(line) > limit or line.translate(None, _PLAIN):
+            raise _NotPlain
+        # a quote must open a cell and close it before the cell ends;
+        # loadtxt would read "1"2 as 12
+        if b'"' in line and not all(
+                b'"' not in cell or _QUOTED_CELL.fullmatch(cell)
+                for cell in line.rstrip(b"\r\n").split(b",")):
             raise _NotPlain
         # the checked parser skips whitespace-only lines too
         if line.strip():
@@ -153,8 +174,10 @@ def _bulk_rows(path, skip, width):
     """The rows after the first `skip` lines of the file at `path`, parsed
     in one np.loadtxt pass as a float table `width` cells wide, or None
     where _checked_rows must decide: a line of other bytes ('_', '#',
-    non-ASCII, control characters that loadtxt strips as space) or longer
-    than csv.field_size_limit(), a lone CR in the skipped header, a parse
+    non-ASCII, control characters that loadtxt strips as space), with a
+    quote that does not enclose a whole cell (spaces and tabs may follow
+    its closing quote) or longer than csv.field_size_limit(), a lone CR in
+    the skipped header, a parse
     error or warning, a quoted cell spanning lines (fewer rows than lines),
     no rows, a ragged or wrong width, or a non-finite cell. Whitespace-only
     lines are skipped, as _checked_rows skips them. On plain lines, cells

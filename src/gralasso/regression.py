@@ -15,10 +15,14 @@ The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
 lambda = +inf: one linear solve on the active set per piece, the next kink
 where a coefficient reaches zero or an inactive gradient reaches its
 penalty, every grid point written off its piece in closed form, and one KKT
-certificate pass over the whole path. The cross-validation folds and the
-final path share the weights and the grid, so they are traced in lockstep
-as one stack of problems, with one stacked linear solve per round; a fixed
-lambda is a one-point path of a stack of one.
+certificate pass over the whole path. Problems are traced in lockstep as
+one stack, with one stacked linear solve per round, and each problem has
+its own weights and grid. A fit runs in three stages: `_prepare` builds its
+plan (summaries, scores, correlation, weights, grid and the stack of its
+cross-validation folds and full data; at a fixed lambda, the full data
+alone as a one-point path), `_trace` traces the stacks of one or more
+plans together, and `_finish` makes the CV choice and the `SelectionFit`.
+A benchmark replicate traces its methods' plans as one stack.
 """
 
 import warnings
@@ -262,12 +266,13 @@ def _kkt(gram, c, grid, wv, slack, n, coefs):
 
 
 def _solve_path(grams, cs, wv, grid, n, tol):
-    """Exact homotopy down a lambda grid for a stack of problems sharing the
-    weights and the grid: (coefficients, pieces, certified) of shapes
-    (F, G, p), (F, G) and (F, G) for F problems (grams (F, p, p), cs (F, p))
-    and G grid points.
+    """Exact homotopy down a lambda grid for a stack of problems, each with
+    its own weights and grid: (coefficients, pieces, certified) of shapes
+    (F, G, p), (F, G) and (F, G) for F problems (grams (F, p, p), cs (F, p),
+    weights wv (F, p), grids (F, G)) of G grid points each. Callers that
+    share weights or a grid broadcast them to rows.
 
-    The grid must be finite, nonnegative and strictly descending, `tol`
+    Every grid must be finite, nonnegative and strictly descending, `tol`
     finite and nonnegative, and the grams, cs and weights of matching
     sizes; any other raises ValueError.
     From lambda = +inf and an empty active set A, each piece solves
@@ -286,29 +291,32 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     rank-deficient or duplicated predictors.
 
     The problems are traced in lockstep. Each round takes one piece of every
-    live problem (its last kink still above the last grid point) with one
+    live problem (its last kink still above its last grid point) with one
     stacked solve: each active block, in ascending index order, is padded
-    to the round's largest by distinct finite-weight inactive coordinates
-    with identity rows and columns and a zero right-hand side, so their u
-    and v are 0. A stack of one is never padded and rounds as a single
-    problem would. Each round only records its pieces, active-set wide
-    (live rows, padded indices, u and v, the lambdas where they start and
-    end); after the rounds one vectorised pass writes every grid point off
-    its piece (`_write_pieces`), and one KKT pass per problem certifies its
-    whole path. `pieces[f, i]` counts problem f's pieces started since grid
-    point i - 1.
+    to the round's largest by distinct inactive coordinates, finite-weight
+    ones first, with identity rows and columns and a zero right-hand side,
+    so their u and v are 0. A row reads only its own weights and grid; the
+    padding alone depends on the other rows, and may move a row's last
+    bits. A stack of one is never padded and rounds as a single problem
+    would. Each round only records its pieces, active-set wide (live rows,
+    padded indices, u and v, the lambdas where they start and end); after
+    the rounds one vectorised pass writes every grid point off its piece
+    (`_write_pieces`), and one KKT pass per problem certifies its whole
+    path. `pieces[f, i]` counts problem f's pieces started since grid point
+    i - 1.
     """
     if not (np.isfinite(grid).all() and (grid >= 0.0).all()
-            and (np.diff(grid) < 0.0).all()):
+            and (np.diff(grid, axis=1) < 0.0).all()):
         raise ValueError("lambda grid must be finite, nonnegative and "
                          "strictly descending")
     if not 0.0 <= tol < np.inf:
         raise ValueError("tol must be finite and nonnegative")
     n_prob, p = cs.shape
-    if grams.shape != (n_prob, p, p) or wv.shape != (p,):
+    if (grams.shape != (n_prob, p, p) or wv.shape != (n_prob, p)
+            or grid.shape[0] != n_prob):
         raise ValueError("dimension mismatch between gram, c and weights")
     finite = np.isfinite(wv)
-    if (np.diagonal(grams, axis1=1, axis2=2)[:, finite] <= 0.0).any():
+    if ((np.diagonal(grams, axis1=1, axis2=2) <= 0.0) & finite).any():
         raise ValueError("degenerate predictor variance")
     off_key = 2 - finite  # argsort key off the active set: +inf weights last
     slack = 10.0 * tol * n
@@ -323,8 +331,8 @@ def _solve_path(grams, cs, wv, grid, n, tol):
         sg = sign[live]
         on = sg != 0.0
         size = on.sum(axis=1)
-        # actives in ascending order, then finite-weight inactive pads
-        idx = np.argsort(np.where(on, 0, off_key), axis=1,
+        # actives in ascending order, then inactive pads, finite weights first
+        idx = np.argsort(np.where(on, 0, off_key[live]), axis=1,
                          kind="stable")[:, :size.max()]
         act = coord[:idx.shape[1]] < size[:, None]
         at = np.arange(live.size)
@@ -335,7 +343,9 @@ def _solve_path(grams, cs, wv, grid, n, tol):
                          np.eye(idx.shape[1]))
         rhs = np.empty(idx.shape + (2,))
         rhs[..., 0] = np.where(act, cs[live[:, None], idx], 0.0)
-        rhs[..., 1] = wv[idx] * s_a / (2.0 * n)
+        # a pad's weight may be +inf where its row has few finite ones
+        rhs[..., 1] = np.where(act, wv[live[:, None], idx], 0.0) * s_a / (
+            2.0 * n)
         # pads solve to +-0; +0 keeps -0.0 out of the coefficients
         uv = np.where(act[..., None], np.linalg.solve(block, rhs), 0.0)
         # G_:A gathered as the rows of G' and transposed back, the layout of
@@ -350,56 +360,79 @@ def _solve_path(grams, cs, wv, grid, n, tol):
                                            where=act & (s_a * v < 0.0))
         kink[(kink < 0.0) | (kink >= here)] = 0.0
         s = np.sign(a)
-        room = wv - s * d
+        room = wv[live] - s * d
         mag = np.abs(a)
-        join = finite & ~on & (mag > slack) & (room > 0.0)
+        join = finite[live] & ~on & (mag > slack) & (room > 0.0)
         kink = np.where(join, np.minimum(np.divide(
             mag, room, out=np.zeros(a.shape), where=join), here), kink)
         k = np.argmax(kink, axis=1)
         end = kink[at, k]
         lam[live] = end
-        # idx.ravel() copies the slice, so the full-width argsort is freed
-        rounds.append((live, here[:, 0], end, idx.ravel(), uv))
+        # a copy of the slice, so the full-width argsort is freed
+        rounds.append((live, here[:, 0], end, idx.copy(), uv))
         # k leaves or joins; once no grid point is left the change goes unused
         sign[live, k] = np.where(on[at, k], 0.0, s[at, k])
-        live = live[end > grid[-1]]
-    coefs, pieces = _write_pieces(rounds, grid, n_prob, p)
+        live = live[end > grid[live, -1]]
+    coefs, pieces = _write_pieces(rounds, grid, p)
     del rounds  # not held through the certificates
     # one KKT pass per problem: a pass over the whole stack holds several
     # (F, G, p) temporaries, MBs of peak memory at p = 200
     return coefs, pieces, np.array(
-        [_kkt(g, c, grid, wv, slack, n, b) for g, c, b in zip(grams, cs, coefs)])
+        [_kkt(g, c, lams, w, slack, n, b)
+         for g, c, lams, w, b in zip(grams, cs, grid, wv, coefs)])
 
 
-def _write_pieces(rounds, grid, n_prob, p):
+_WRITE_CHUNK = 2 ** 15
+
+
+def _write_pieces(rounds, grid, p):
     """Coefficients (F, G, p) and piece counts (F, G) from the pieces the
-    rounds of `_solve_path` recorded: per round its live problems, the
-    lambdas where their pieces start and end, the padded active indices and
-    the solved [u v]. A piece holds the grid points below its start down to
-    its end, and writes u - lambda v at each of them."""
-    coefs = np.zeros((n_prob, grid.size, p))
+    rounds of `_solve_path` recorded over the grids (F, G): per round its
+    live problems, the lambdas where their pieces start and end, the padded
+    active indices and the solved [u v]. A piece holds the grid points of
+    its problem below its start down to its end, and writes u - lambda v at
+    each of them."""
+    n_prob, n_grid = grid.shape
     if not rounds:
-        return coefs, np.zeros((n_prob, grid.size), dtype=int)
+        return (np.zeros((n_prob, n_grid, p)),
+                np.zeros((n_prob, n_grid), dtype=int))
     live, here, end, idx, uv = zip(*rounds)
     prob = np.concatenate(live)
-    neg = -grid  # ascending, so both ends are found by one search each
-    start = np.searchsorted(neg, -np.concatenate(here), side="right")
-    stop = np.searchsorted(neg, -np.concatenate(end), side="right")
-    pieces = np.bincount(prob * grid.size + start,
-                         minlength=n_prob * grid.size).reshape(n_prob, -1)
-    # the records are ragged: piece q holds w[q] entries from o[q] on
-    w = np.repeat([b.shape[1] for b in uv], [b.shape[0] for b in uv])
-    o = np.cumsum(w) - w
-    idx = np.concatenate(idx)
-    uv = np.concatenate([b.reshape(-1, 2) for b in uv])
-    # one entry per (grid point, padded active coordinate) of each piece
+    # grid points at or above a lambda: the first one below it
+    start = (grid[prob] >= np.concatenate(here)[:, None]).sum(axis=1)
+    stop = (grid[prob] >= np.concatenate(end)[:, None]).sum(axis=1)
+    pieces = np.bincount(prob * n_grid + start,
+                         minlength=n_prob * n_grid).reshape(n_prob, -1)
+    # the pieces partition each problem's grid: one holds each grid point
     size = stop - start
-    q = np.repeat(np.arange(prob.size), size)
-    wq = w[q]
-    i = np.repeat(_ranges(start, size), wq)
-    pos = _ranges(o[q], wq)
-    coefs[np.repeat(prob[q], wq), i, idx[pos]] = (
-        uv[pos, 0] - grid[i] * uv[pos, 1])
+    which = np.empty((n_prob, n_grid), dtype=int)
+    which[np.repeat(prob, size), _ranges(start, size)] = np.repeat(
+        np.arange(prob.size), size)
+    # the padded entries of all pieces: piece, coordinate, [u v]
+    owner = np.repeat(np.arange(prob.size), np.repeat(
+        [b.shape[1] for b in uv], [b.shape[0] for b in uv]))
+    coord = np.concatenate([b.ravel() for b in idx])
+    uv = np.concatenate([b.reshape(-1, 2) for b in uv])
+    coefs = np.empty((n_prob, n_grid, p))
+    # a chunk of problems at a time, as its pieces' u and v over all p
+    # coordinates (0 off the padded block), gathered at every grid point:
+    # both grow with p, so a chunk holds about _WRITE_CHUNK grid values
+    step = max(1, _WRITE_CHUNK // (n_grid * p))
+    for lo in range(0, n_prob, step):
+        mine = (prob >= lo) & (prob < lo + step)
+        row = np.cumsum(mine) - 1  # a piece's row in the chunk's table
+        entry = np.flatnonzero(mine[owner])
+        at = row[owner[entry]] * p + coord[entry]
+        table = np.zeros((2, (row[-1] + 1) * p))
+        table[0, at] = uv[entry, 0]
+        table[1, at] = uv[entry, 1]
+        table = table.reshape(2, -1, p)
+        held = row[which[lo:lo + step]]
+        out = coefs[lo:lo + step]
+        # u - lambda v as -(lambda v) + u: the same bits, one temporary
+        np.take(table[1], held, axis=0, out=out)
+        out *= -grid[lo:lo + step, :, None]
+        out += np.take(table[0], held, axis=0)
     return coefs, pieces
 
 
@@ -439,8 +472,15 @@ def fit_path(cov, w, grid, n: int, tol: float = 1e-7) -> LassoPath:
     grid = np.asarray(grid, dtype=float)
     coefs, pieces, conv = _solve_path(
         np.asarray(cov.xx, dtype=float)[None],
-        np.asarray(cov.xy, dtype=float)[None], _weight_vector(w), grid, n, tol)
+        np.asarray(cov.xy, dtype=float)[None], _weight_vector(w)[None],
+        grid[None], n, tol)
     return _lasso_path(grid, coefs[0], pieces[0], conv[0])
+
+
+def _rows(a, count):
+    """`a` repeated as `count` rows (a read-only view): weights or a grid
+    shared by a stack of problems."""
+    return np.broadcast_to(a, (count,) + a.shape)
 
 
 def _cv_folds(values, folds, seed):
@@ -485,8 +525,8 @@ def cross_validate(pseudo, w, grid, folds: int = 5, seed: int = 0,
     values, _ = as_table(pseudo)
     grid = np.asarray(grid, dtype=float)
     grams, cs, blocks = _cv_folds(values, folds, seed)
-    coefs, _, conv = _solve_path(grams, cs, _weight_vector(w), grid,
-                                 values.shape[0], tol)
+    coefs, _, conv = _solve_path(grams, cs, _rows(_weight_vector(w), folds),
+                                 _rows(grid, folds), values.shape[0], tol)
     return _cv_curve(values, blocks, grid, coefs, conv)
 
 
@@ -567,10 +607,10 @@ def screen_top_k(Z, k: int) -> np.ndarray:
 _RIDGE_KAPPAS = np.logspace(-3.0, 1.0, 9)
 
 
-def _ridge_kappa_by_cv(values, folds, seed):
+def _ridge_kappa_by_cv(values, grams, cs, blocks):
     """Pick the ridge penalty for the initial estimate from `_RIDGE_KAPPAS`
-    by pseudo-data CV: one solve over the fold stack per kappa."""
-    grams, cs, blocks = _cv_folds(values, folds, seed)
+    by pseudo-data CV over the folds of `values` (`_cv_folds`): one solve
+    over the fold stack per kappa."""
     eye = np.eye(grams.shape[1])
     errs = []
     for kap in _RIDGE_KAPPAS:
@@ -578,6 +618,141 @@ def _ridge_kappa_by_cv(values, folds, seed):
         errs.append([np.mean((values[block, 0] - values[block, 1:] @ b) ** 2)
                      for block, b in zip(blocks, betas)])
     return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=1)))])
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A fit up to its path trace: the table stage (summaries, pseudo-data
+    scores and their correlation `R`), the weights, the grid and the stack
+    of path problems, `grams` (F, p, p) and `cs` (F, p). The stack is the CV
+    folds, whose held-out rows are `blocks`, then the full data; at a fixed
+    lambda it is the full data alone and `blocks` is None."""
+
+    rule: str
+    summaries: tuple
+    scores: np.ndarray
+    R: CorrelationMatrix
+    weights: AdaptiveWeights
+    grid: np.ndarray
+    grams: np.ndarray
+    cs: np.ndarray
+    blocks: list | None
+
+    @property
+    def n(self) -> int:
+        return self.scores.shape[0]
+
+
+def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
+             n_lambda, lambda_ratio, folds, rule, seed, fixed_lambda) -> _Plan:
+    """The first stage of `fit_gr_alasso`: check the options, then build the
+    fit's `_Plan`. The options and their defaults are `fit_gr_alasso`'s.
+
+    `cache`, a dict, shares the table stage and the folds between plans of
+    the same table: the Pearson adaptive Lasso and the Lasso of a benchmark
+    replicate build them once.
+    """
+    Z = DataMatrix(*as_table(Z))
+    if Z.n < 10:
+        raise ValueError("need at least 10 observations")
+    kind = _ESTIMATOR_KINDS.get(estimator)
+    if kind is None:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if weights not in ("auto", "direct", "ridge", "unit"):
+        raise ValueError(f"unknown weights mode {weights!r}")
+    if rule not in ("1se", "min"):
+        raise ValueError(f"unknown selection rule {rule!r}")
+    if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
+        raise ValueError("lambda must be finite and nonnegative")
+    if kappa != "cv" and (isinstance(kappa, str) or not 0.0 < kappa < np.inf):
+        raise ValueError('kappa must be positive and finite, or "cv"')
+    n, p = Z.n, Z.p
+    low_dim = p < n / 2
+    ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
+    _check_eps(exclusion_eps)
+    _check_grid_shape(n_lambda, ratio)
+    _check_folds(folds, n)
+
+    cache = {} if cache is None else cache
+    if kind not in cache:
+        summaries = column_summaries(Z, estimator)
+        scores = score_matrix(Z, kind)
+        cache[kind] = (summaries, scores, CorrelationMatrix(
+            _pearson_of_values(scores, Z.columns), kind, Z.columns))
+    summaries, scores, R = cache[kind]
+
+    def fold_stack():
+        key = (kind, folds, seed)
+        if key not in cache:
+            cache[key] = _cv_folds(scores, folds, seed)
+        return cache[key]
+
+    if weights == "unit":
+        wobj = AdaptiveWeights(np.ones(p), "unit")
+    else:
+        mode = weights if weights != "auto" else ("direct" if low_dim else "ridge")
+        if mode == "direct":
+            try:
+                wobj = adaptive_weights(initial_estimate_direct(R),
+                                        exclusion_eps, "direct-inverse")
+            except ValueError:
+                # an ill-conditioned predictor block (a duplicated predictor,
+                # say): "auto" falls back to the ridge estimate
+                if weights == "direct":
+                    raise
+                mode = "ridge"
+        if mode == "ridge":
+            kap = (_ridge_kappa_by_cv(scores, *fold_stack())
+                   if kappa == "cv" else float(kappa))
+            beta_init = initial_estimate_ridge(R, kap)
+            wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
+
+    if fixed_lambda is None:
+        grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
+        grams, cs, blocks = fold_stack()
+        grams = np.concatenate([grams, R.xx[None]])
+        cs = np.concatenate([cs, R.xy[None]])
+    else:
+        grid, blocks = np.array([float(fixed_lambda)]), None
+        grams, cs = R.xx[None], R.xy[None]
+    return _Plan(rule=rule, summaries=summaries, scores=scores, R=R,
+                 weights=wobj, grid=grid, grams=grams, cs=cs, blocks=blocks)
+
+
+def _trace(plans, tol: float = 1e-7):
+    """The second stage: the path problems of `plans` (one table size, grids
+    of one length) traced as one lockstep stack by `_solve_path`, each
+    problem with its own plan's weights and grid. Returns each plan's rows
+    of (coefficients, pieces, certified), in order."""
+    parts = [(plan.grams, plan.cs, _rows(plan.weights.weights, len(plan.cs)),
+              _rows(plan.grid, len(plan.cs))) for plan in plans]
+    stack = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    out = _solve_path(*stack, plans[0].n, tol)
+    cuts = np.cumsum([len(plan.cs) for plan in plans])[:-1]
+    return list(zip(*(np.split(a, cuts) for a in out)))
+
+
+def _finish(plan, coefs, pieces, conv) -> SelectionFit:
+    """The last stage: from a plan's rows of its trace, the CV choice (the
+    first grid point at a fixed lambda), the path, and the coefficients at
+    the chosen lambda in original units."""
+    grid = plan.grid
+    if plan.blocks is None:
+        cv, idx = None, 0
+    else:
+        cv = _cv_curve(plan.scores, plan.blocks, grid, coefs[:-1], conv[:-1])
+        idx = cv.idx_1se if plan.rule == "1se" else cv.idx_min
+    # a copy, so that the fit does not hold the other rows of the trace
+    path = _lasso_path(grid, coefs[-1].copy(), pieces[-1], conv[-1])
+    beta, intercept = destandardize(path.coefficients[idx], plan.summaries)
+    return SelectionFit(beta=beta, intercept=intercept,
+                        support=_support(path.coefficients[idx]),
+                        lambda_=float(grid[idx]), path=path, cv=cv,
+                        locations=plan.summaries[0], scales=plan.summaries[1],
+                        columns=plan.R.columns, estimator=plan.R.estimator,
+                        weights=plan.weights,
+                        converged=bool(path.converged[idx]),
+                        correlation=plan.R)
 
 
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
@@ -603,70 +778,12 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     instead of the one-standard-error choice. The options are checked
     before any work, also those that the chosen mode leaves unused.
     """
-    Z = DataMatrix(*as_table(Z))
-    if Z.n < 10:
-        raise ValueError("need at least 10 observations")
-    kind = _ESTIMATOR_KINDS.get(estimator)
-    if kind is None:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if weights not in ("auto", "direct", "ridge", "unit"):
-        raise ValueError(f"unknown weights mode {weights!r}")
-    if rule not in ("1se", "min"):
-        raise ValueError(f"unknown selection rule {rule!r}")
-    if fixed_lambda is not None and not 0.0 <= fixed_lambda < np.inf:
-        raise ValueError("lambda must be finite and nonnegative")
-    if kappa != "cv" and (isinstance(kappa, str) or not 0.0 < kappa < np.inf):
-        raise ValueError('kappa must be positive and finite, or "cv"')
-    n, p = Z.n, Z.p
-    low_dim = p < n / 2
-    ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
-    _check_eps(exclusion_eps)
-    _check_grid_shape(n_lambda, ratio)
-    _check_folds(folds, n)
+    plan = _prepare(Z, estimator=estimator, weights=weights, kappa=kappa,
+                    exclusion_eps=exclusion_eps, n_lambda=n_lambda,
+                    lambda_ratio=lambda_ratio, folds=folds, rule=rule,
+                    seed=seed, fixed_lambda=fixed_lambda)
+    return _finish(plan, *_trace([plan])[0])
 
-    summaries = column_summaries(Z, estimator)
-    scores = score_matrix(Z, kind)
-    R = CorrelationMatrix(_pearson_of_values(scores, Z.columns), kind, Z.columns)
 
-    if weights == "unit":
-        wobj = AdaptiveWeights(np.ones(p), "unit")
-    else:
-        mode = weights if weights != "auto" else ("direct" if low_dim else "ridge")
-        if mode == "direct":
-            try:
-                wobj = adaptive_weights(initial_estimate_direct(R),
-                                        exclusion_eps, "direct-inverse")
-            except ValueError:
-                # an ill-conditioned predictor block (a duplicated predictor,
-                # say): "auto" falls back to the ridge estimate
-                if weights == "direct":
-                    raise
-                mode = "ridge"
-        if mode == "ridge":
-            kap = (_ridge_kappa_by_cv(scores, folds, seed)
-                   if kappa == "cv" else float(kappa))
-            beta_init = initial_estimate_ridge(R, kap)
-            wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
-
-    if fixed_lambda is None:
-        grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
-        # the folds and the full-data path, traced in lockstep
-        grams, cs, blocks = _cv_folds(scores, folds, seed)
-        grams = np.concatenate([grams, R.xx[None]])
-        cs = np.concatenate([cs, R.xy[None]])
-        coefs, pieces, conv = _solve_path(grams, cs, wobj.weights, grid, n,
-                                          1e-7)
-        cv = _cv_curve(scores, blocks, grid, coefs[:-1], conv[:-1])
-        idx = cv.idx_1se if rule == "1se" else cv.idx_min
-        # a copy, so that the fit does not hold the fold rows
-        path = _lasso_path(grid, coefs[-1].copy(), pieces[-1], conv[-1])
-    else:
-        grid, cv, idx = np.array([float(fixed_lambda)]), None, 0
-        path = fit_path(R, wobj, grid, n)
-    beta, intercept = destandardize(path.coefficients[idx], summaries)
-    return SelectionFit(beta=beta, intercept=intercept,
-                        support=_support(path.coefficients[idx]),
-                        lambda_=float(grid[idx]), path=path, cv=cv,
-                        locations=summaries[0], scales=summaries[1],
-                        columns=Z.columns, estimator=kind, weights=wobj,
-                        converged=bool(path.converged[idx]), correlation=R)
+# one set of option defaults: `_prepare` takes `fit_gr_alasso`'s
+_prepare.__kwdefaults__ = dict(fit_gr_alasso.__kwdefaults__)

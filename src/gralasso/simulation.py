@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import DataMatrix, write_csv
-from .regression import column_summaries, fit_gr_alasso
+from .regression import (_finish, _prepare, _trace, column_summaries,
+                         fit_gr_alasso)
 
 __all__ = [
     "SimDesign",
@@ -240,25 +241,82 @@ def _replicate_records(task):
     rs = cell_seed(seed0, e, gamma, r)
     train, _, X_test, y_test = replicate_data(
         design, e, gamma, rs, contaminate_test=contaminate_test)
-    seed_cv = mix_seed(rs, 7)
     records = []
-    for method in methods:
-        options = {**METHOD_OPTIONS[method], **fit_kwargs}
-        t0 = time.perf_counter()
+    for method, (fit, elapsed) in _replicate_fits(
+            train, methods, mix_seed(rs, 7), fit_kwargs).items():
         try:
-            fit = fit_gr_alasso(train, seed=seed_cv, **options)
-            elapsed = (time.perf_counter() - t0) * 1000.0
+            if isinstance(fit, Exception):
+                raise fit
             m = compute_metrics(fit.support, fit.beta, design.beta_true,
                                 X_test, y_test, fit.intercept)
             records.append(BenchmarkRecord(e, gamma, r, method, m["tpr"],
                                            m["fpr"], m["mse_beta"], m["mspe"],
                                            elapsed, "ok"))
         except Exception as exc:  # noqa: BLE001 - per-replicate isolation
-            elapsed = (time.perf_counter() - t0) * 1000.0
             records.append(BenchmarkRecord(e, gamma, r, method, np.nan,
                                            np.nan, np.nan, np.nan, elapsed,
                                            f"failed:{type(exc).__name__}"))
     return records
+
+
+def _replicate_fits(train, methods, seed, fit_kwargs):
+    """{method: (its fit of `train`, or the exception that stopped it,
+    milliseconds)}, each fit that of `fit_gr_alasso(train, seed=seed,
+    **options)`: the same bits but for the last bits of some CV errors,
+    where a fold's stacked solves were padded wider than in its own fit.
+
+    Every method is prepared first; the Pearson ones share one table stage
+    and one set of folds. The path problems of all prepared methods are then
+    traced as one lockstep stack (one per grid length), and each method is
+    finished on its own rows. A method whose stage raises fails alone; if
+    the shared trace raises, each method is traced on its own. A method's
+    time is its own preparation and finish plus its problem-count share of
+    the trace it was in.
+    """
+    out = {}  # a method's plan, then its fit, or the exception that stopped it
+    ms = dict.fromkeys(methods, 0.0)
+
+    def stage(method, call):
+        t0 = time.perf_counter()
+        try:
+            out[method] = call()
+        except Exception as exc:  # noqa: BLE001 - per-method isolation
+            out[method] = exc
+        ms[method] += (time.perf_counter() - t0) * 1000.0
+
+    cache = {}
+    for method in methods:
+        options = {**METHOD_OPTIONS[method], **fit_kwargs}
+        stage(method, lambda: _prepare(train, cache, seed=seed, **options))
+    del cache  # the plans hold what they use
+    groups = {}
+    for method in methods:
+        if not isinstance(out[method], Exception):
+            groups.setdefault(out[method].grid.size, []).append(method)
+    for group in groups.values():
+        plans = [out[m] for m in group]
+        t0 = time.perf_counter()
+        rows = _trace_each(plans)
+        share = (time.perf_counter() - t0) * 1000.0 / sum(
+            len(plan.cs) for plan in plans)
+        for method, plan, row in zip(group, plans, rows):
+            ms[method] += share * len(plan.cs)
+            if isinstance(row, Exception):
+                out[method] = row
+            else:
+                stage(method, lambda: _finish(plan, *row))
+    return {m: (out[m], ms[m]) for m in methods}
+
+
+def _trace_each(plans):
+    """`_trace(plans)`, or where the stack raises, each plan traced on its
+    own: its rows or the exception its own trace raised."""
+    try:
+        return _trace(plans)
+    except Exception as exc:  # noqa: BLE001 - per-method isolation
+        if len(plans) == 1:
+            return [exc]
+        return [_trace_each([plan])[0] for plan in plans]
 
 
 def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,

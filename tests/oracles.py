@@ -278,21 +278,24 @@ def solve_path_reference(gram, c, wv, grid, n, tol):
     return coefs, pieces, kkt_by_point(gram, c, grid, wv, slack, n, coefs)
 
 
-def write_pieces_per_round(rounds, grid, n_prob, p):
+def write_pieces_per_round(rounds, grids, p):
     """The per-round grid write that `regression._write_pieces` replaced,
     kept as its reference: for each round's records (live problems, start
-    and end lambdas, padded active indices raveled, solved [u v]) it counts
-    a piece at the first grid point below its start and writes u - lambda v
-    at every grid point below the start down to the end."""
-    coefs = np.zeros((n_prob, grid.size, p))
-    pieces = np.zeros((n_prob, grid.size), dtype=int)
+    and end lambdas, padded active indices, solved [u v]) it counts a piece
+    at the first point of its problem's grid (a row of `grids`) below its
+    start and writes u - lambda v at every grid point below the start down
+    to the end."""
+    n_prob, n_grid = grids.shape
+    coefs = np.zeros((n_prob, n_grid, p))
+    pieces = np.zeros((n_prob, n_grid), dtype=int)
     for live, here, end, idx, uv in rounds:
         idx = idx.reshape(uv.shape[:2])
+        grid = grids[live]
         below = grid < here[:, None]
-        pieces[live, grid.size - below.sum(axis=1)] += 1
+        pieces[live, n_grid - below.sum(axis=1)] += 1
         r, i = np.nonzero(below & (grid >= end[:, None]))
         coefs[live[r, None], i[:, None], idx[r]] = (
-            uv[r, :, 0] - grid[i, None] * uv[r, :, 1])
+            uv[r, :, 0] - grid[r, i, None] * uv[r, :, 1])
     return coefs, pieces
 
 

@@ -296,6 +296,24 @@ class TestBulkParse:
                                side_effect=AssertionError):
             assert _read(path) == expected
 
+    @pytest.mark.parametrize("text, message", [
+        # the third row's bad cell would be named if row 1 were read as 12
+        ('y,a\n"1"2,3\n4,5\n_10,6\n', "row 1: ',' expected after '\"'"),
+        ('y,a\n1,2\n"1"e3,3\n', "row 2: ',' expected after '\"'"),
+        ('y,a\n1,2\n3,"4\n', "row 2: unexpected end of data"),
+    ], ids=["digit-after-quote", "exponent-after-quote", "unclosed-quote"])
+    def test_quoted_cells_end_at_their_closing_quote(self, tmp_path, text,
+                                                     message):
+        path = _toy(tmp_path, text)
+        with mock.patch.object(data, "_checked_rows",
+                               side_effect=AssertionError):
+            with pytest.raises(AssertionError):  # the bulk pass declines
+                DataMatrix.from_csv(path, "y")
+        with mock.patch.object(data, "_bulk_rows", return_value=None):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                DataMatrix.from_csv(path, "y")
+        assert _read(path) == f"unreadable {message}"
+
     @pytest.mark.parametrize("text", [
         "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", "y,a\n1,2#3\n", "y,a\r1,2\n",
         "y,a\n1,inf\n", "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",

@@ -371,30 +371,55 @@ def _path_instances(draw):
     return gram, c, w, grid, n, variant
 
 
+def _row_weights(rng, p):
+    """Weights in U(0.2, 5) with up to p - 1 of them +inf."""
+    w = rng.uniform(0.2, 5.0, p)
+    w[rng.choice(p, rng.integers(0, p), replace=False)] = np.inf
+    return w
+
+
 @st.composite
 def _lasso_stacks(draw):
-    """One to six problems of a `_lasso_instances` draw's size, sharing its
-    weights, n and a grid from its first problem (down to 0 or not), in a
-    drawn order; the others are drawn like it, or are a copy of it."""
+    """One to six problems of a `_lasso_instances` draw's size and n, in a
+    drawn order: the others are drawn like it or are a copy of it. Each has
+    its own weights (a copy of the first problem's, or drawn with some
+    +inf) and its own grid of 20 points from its own lambda_max (a copy of
+    the first problem's, or with another ratio), all down to 0 or none."""
     gram, c, w, _, n, _ = draw(_lasso_instances())
-    grams, cs = [gram], [c]
+    to_zero = draw(st.booleans())
+
+    def grid_of(g, v, wv, ratio):
+        grid = lambda_grid(g, v, wv, n, n_lambda=20, ratio=ratio)
+        return np.append(grid, 0.0) if to_zero else grid
+
+    grams, cs, ws, grids = [gram], [c], [w], [grid_of(gram, c, w, 1e-3)]
     for _ in range(draw(st.integers(0, 5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if draw(st.integers(0, 4)) == 0:
             g, v = gram, c
         else:
-            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             g, v = _unit_gram(rng, draw(st.integers(1, 40)), c.size,
                               c.size > 1 and draw(st.booleans()))
+        wv = w if draw(st.integers(0, 2)) == 0 else _row_weights(rng, c.size)
+        grid = grid_of(g, v, wv, draw(st.sampled_from([1e-3, 0.05, 0.5])))
+        if draw(st.integers(0, 2)) == 0 or grid.size != grids[0].size:
+            grid = grids[0]  # shared, or in place of a one-point grid
         grams.append(g)
         cs.append(v)
-    grid = lambda_grid(gram, c, w, n, n_lambda=20)
-    if draw(st.booleans()):
-        grid = np.append(grid, 0.0)
+        ws.append(wv)
+        grids.append(grid)
     order = draw(st.permutations(range(len(grams))))
-    return np.array(grams)[order], np.array(cs)[order], w, grid, n
+    return tuple(np.array(a)[order] for a in (grams, cs, ws, grids)) + (n,)
 
 
-def _traced_rounds(grams, cs, w, grid, n, tol=1e-7):
+def _shared(w, grid, count):
+    """Weights and a grid shared by `count` problems, as rows."""
+    w, grid = np.asarray(w, dtype=float), np.asarray(grid, dtype=float)
+    return (np.broadcast_to(w, (count,) + w.shape),
+            np.broadcast_to(grid, (count,) + grid.shape))
+
+
+def _traced_rounds(grams, cs, wv, grids, n, tol=1e-7):
     """`_solve_path`'s outputs and the records its rounds hand to
     `_write_pieces`."""
     seen = []
@@ -405,36 +430,37 @@ def _traced_rounds(grams, cs, w, grid, n, tol=1e-7):
         return real(rounds, *args)
 
     with mock.patch.object(regression, "_write_pieces", spy):
-        out = regression._solve_path(grams, cs, w, grid, n, tol)
+        out = regression._solve_path(grams, cs, wv, grids, n, tol)
     return out, seen[0]
 
 
-def _kink_grid(rounds, grid):
-    """`grid` with every kink of the recorded pieces at or above its last
-    point added, so that grid points fall exactly on kinks; the path down
-    to the last point stays the same."""
+def _kink_grid(rounds, grids):
+    """One grid of every point of `grids` and every kink of the recorded
+    pieces at or above the smallest last point, so that grid points fall
+    exactly on kinks; above its old last point each path stays the same."""
     ends = np.concatenate([end for _, _, end, _, _ in rounds])
-    points = np.concatenate([grid, ends[ends >= grid[-1]]])
+    low = grids[:, -1].min()
+    points = np.concatenate([grids.ravel(), ends[ends >= low]])
     return np.unique(points)[::-1].copy()
 
 
-def _assert_write_matches_per_round(grams, cs, w, grid, n, tol=1e-7):
+def _assert_write_matches_per_round(grams, cs, wv, grids, n, tol=1e-7):
     """The coefficients (signs of zeros included) and piece counts of a
     stacked run are those the per-round write makes of its records, and its
     certificates those of the reference coefficients; returns the run's
     outputs and records."""
-    (coefs, pieces, ok), rounds = _traced_rounds(grams, cs, w, grid, n, tol)
-    ref, ref_pieces = write_pieces_per_round(rounds, grid, *cs.shape)
+    (coefs, pieces, ok), rounds = _traced_rounds(grams, cs, wv, grids, n, tol)
+    ref, ref_pieces = write_pieces_per_round(rounds, grids, cs.shape[1])
     assert np.array_equal(coefs, ref)
     assert np.array_equal(np.signbit(coefs), np.signbit(ref))
     assert np.array_equal(pieces, ref_pieces)
     for f in range(len(cs)):
         assert np.array_equal(ok[f], regression._kkt(
-            grams[f], cs[f], grid, w, 10.0 * tol * n, n, ref[f]))
+            grams[f], cs[f], grids[f], wv[f], 10.0 * tol * n, n, ref[f]))
     return (coefs, pieces, ok), rounds
 
 
-def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7,
+def _assert_rows_match_stacks_of_one(grams, cs, wv, grids, n, tol=1e-7,
                                      kinks=False):
     """Every row of a stacked run has the pieces, certificates and supports
     of its stack-of-one run, and coefficients within 1e-12 of its largest;
@@ -443,10 +469,11 @@ def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7,
     (a stacked row's kinks may differ from its stack-of-one run's in the
     last bits, so each run gets its own)."""
     stacks = [slice(None)] + [slice(f, f + 1) for f in range(len(cs))]
-    runs = [_assert_write_matches_per_round(grams[rows], cs[rows], w, grid,
-                                            n, tol) for rows in stacks]
+    runs = [_assert_write_matches_per_round(grams[rows], cs[rows], wv[rows],
+                                            grids[rows], n, tol)
+            for rows in stacks]
     coefs, pieces, ok = runs[0][0]
-    assert coefs.shape == (len(cs), grid.size, cs.shape[1])
+    assert coefs.shape == (len(cs), grids.shape[1], cs.shape[1])
     for f, (one, _) in enumerate(runs[1:]):
         assert np.array_equal(pieces[f], one[1][0])
         assert np.array_equal(ok[f], one[2][0])
@@ -455,15 +482,17 @@ def _assert_rows_match_stacks_of_one(grams, cs, w, grid, n, tol=1e-7,
         assert np.all(np.abs(coefs[f] - one[0][0]) <= 1e-12 * scale)
     if kinks:
         for rows, (_, rounds) in zip(stacks, runs):
-            _assert_write_matches_per_round(grams[rows], cs[rows], w,
-                                            _kink_grid(rounds, grid), n, tol)
+            grid = _kink_grid(rounds, grids[rows])
+            _assert_write_matches_per_round(
+                grams[rows], cs[rows], wv[rows],
+                np.broadcast_to(grid, (len(cs[rows]), grid.size)), n, tol)
 
 
 def _assert_matches_the_reference_kernel(gram, c, w, grid, n, variant):
     """A stack of one equals the reference kernel bit for bit, signs of
     zeros included, but for exact kink ties across sides."""
     got = [x[0] for x in regression._solve_path(
-        gram[None], c[None], w, grid, n, 1e-7)]
+        gram[None], c[None], w[None], grid[None], n, 1e-7)]
     ref = solve_path_reference(gram, c, w, grid, n, 1e-7)
     if all(np.array_equal(x, y) for x, y in zip(got, ref)):
         assert np.array_equal(np.signbit(got[0]), np.signbit(ref[0]))
@@ -497,16 +526,18 @@ class TestLockstepPaths:
         cs = np.array([c, 0.3 * c, 0.1 * c, 0.0 * c])
         w = rng.uniform(0.2, 5.0, 8)
         grid = lambda_grid(gram, c, w, 40, n_lambda=30, ratio=0.02)
-        _, rounds = _traced_rounds(grams, cs, w, grid, 40)
+        _, rounds = _traced_rounds(grams, cs, *_shared(w, grid, 4), 40)
         last = [max(r for r, rec in enumerate(rounds) if f in rec[0])
                 for f in range(4)]
         assert last[3] == 0 and len(set(last)) == 4
-        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 40, kinks=True)
+        _assert_rows_match_stacks_of_one(grams, cs, *_shared(w, grid, 4), 40,
+                                         kinks=True)
 
     def test_no_predictors(self):
         coefs, pieces, ok = regression._solve_path(
-            np.zeros((3, 0, 0)), np.zeros((3, 0)), np.zeros(0),
-            np.array([2.0, 1.0]), 10, 1e-7)
+            np.zeros((3, 0, 0)), np.zeros((3, 0)), *_shared(np.zeros(0),
+                                                            [2.0, 1.0], 3),
+            10, 1e-7)
         assert coefs.shape == (3, 2, 0)
         assert not pieces.any() and ok.all()
 
@@ -516,7 +547,7 @@ class TestLockstepPaths:
         grams, cs = np.array(grams), np.array(cs)
         w = rng.uniform(0.2, 5.0, 6)
         lam = 0.3 * lambda_grid(grams[0], cs[0], w, 30)[0]
-        _assert_rows_match_stacks_of_one(grams, cs, w, np.array([lam]), 30)
+        _assert_rows_match_stacks_of_one(grams, cs, *_shared(w, [lam], 4), 30)
 
     def test_grid_ending_at_zero_terminates(self):
         rng = np.random.default_rng(61)
@@ -525,7 +556,7 @@ class TestLockstepPaths:
         w = rng.uniform(0.2, 5.0, 5)
         grid = np.append(lambda_grid(grams[0], cs[0], w, 40, n_lambda=10),
                          0.0)
-        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 40)
+        _assert_rows_match_stacks_of_one(grams, cs, *_shared(w, grid, 3), 40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b = fit_path(_Parts(grams[1], cs[1]), w, [0.0], 40).coefficients[0]
@@ -539,21 +570,37 @@ class TestLockstepPaths:
         grams, cs = np.array([gram, gram, gram]), np.array([c, 0 * c, c])
         w = rng.uniform(0.2, 5.0, 5)
         grid = lambda_grid(gram, c, w, 30, n_lambda=15)
-        coefs, pieces, ok = regression._solve_path(grams, cs, w, grid, 30,
-                                                   1e-7)
+        coefs, pieces, ok = regression._solve_path(
+            grams, cs, *_shared(w, grid, 3), 30, 1e-7)
         assert pieces[1].tolist() == [1] + [0] * 14
         assert not coefs[1].any() and ok[1].all()
         assert pieces[0].sum() > 1
-        _assert_rows_match_stacks_of_one(grams, cs, w, grid, 30)
+        _assert_rows_match_stacks_of_one(grams, cs, *_shared(w, grid, 3), 30)
 
     def test_all_weights_infinite(self):
         rng = np.random.default_rng(63)
         grams, cs = zip(*(_unit_gram(rng, 30, 4, False) for _ in range(2)))
         coefs, pieces, ok = regression._solve_path(
-            np.array(grams), np.array(cs), np.full(4, np.inf),
-            np.array([3.0, 1.0, 0.0]), 30, 1e-7)
+            np.array(grams), np.array(cs),
+            *_shared(np.full(4, np.inf), [3.0, 1.0, 0.0], 2), 30, 1e-7)
         assert not coefs.any() and ok.all()
         assert pieces.tolist() == [[1, 0, 0], [1, 0, 0]]
+
+
+    def test_every_row_is_checked(self):
+        # each problem's own grid must descend, and the weights and grids
+        # must have one row per problem
+        rng = np.random.default_rng(65)
+        grams, cs = zip(*(_unit_gram(rng, 30, 4, False) for _ in range(2)))
+        grams, cs = np.array(grams), np.array(cs)
+        wv, grids = _shared(np.ones(4), [3.0, 2.0, 1.0], 2)
+        bad = grids.copy()
+        bad[1, 2] = 2.0
+        with pytest.raises(ValueError, match="strictly descending"):
+            regression._solve_path(grams, cs, wv, bad, 30, 1e-7)
+        for args in ((wv[:1], grids), (wv, grids[:1]), (wv[:, :3], grids)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                regression._solve_path(grams, cs, *args, 30, 1e-7)
 
 
 class TestActiveSetSolver:
@@ -611,7 +658,7 @@ class TestActiveSetSolver:
         # with tol = 0 most points with an active coefficient fail
         for tol in (1e-7, 0.0):
             coefs, _, flags = (x[0] for x in regression._solve_path(
-                gram[None], c[None], w, grid, n, tol))
+                gram[None], c[None], w[None], grid[None], n, tol))
             assert np.array_equal(
                 flags, kkt_by_point(gram, c, grid, w, 10.0 * tol * n, n, coefs))
 
@@ -625,9 +672,9 @@ class TestActiveSetSolver:
             # grid point on that kink can leave the reference uncertified
             return
         # grid points exactly on the kinks: the piece ending there holds them
-        _, rounds = _traced_rounds(gram[None], c[None], w, grid, n)
+        _, rounds = _traced_rounds(gram[None], c[None], w[None], grid[None], n)
         _assert_matches_the_reference_kernel(
-            gram, c, w, _kink_grid(rounds, grid), n, variant)
+            gram, c, w, _kink_grid(rounds, grid[None]), n, variant)
 
     def test_well_conditioned_solve_takes_few_rounds(self):
         # pieces of the exact path against sweeps of the reference
@@ -1171,13 +1218,36 @@ class TestFitGrAlasso:
         X = rng.standard_normal((n, p))
         values = np.column_stack([X[:, 0] + rng.standard_normal(n), X])
         errs = []
-        for gram, c, block in zip(*regression._cv_folds(values, 5, seed)):
+        folds = regression._cv_folds(values, 5, seed)
+        for gram, c, block in zip(*folds):
             held_y, held_x = values[block, 0], values[block, 1:]
             errs.append([np.mean((held_y - held_x @ np.linalg.solve(
                 gram + kap * np.eye(p), c)) ** 2)
                 for kap in regression._RIDGE_KAPPAS])
         expected = regression._RIDGE_KAPPAS[np.argmin(np.mean(errs, axis=0))]
-        assert regression._ridge_kappa_by_cv(values, 5, seed) == expected
+        assert regression._ridge_kappa_by_cv(values, *folds) == expected
+
+    def test_ridge_kappa_by_cv_reads_the_path_folds(self):
+        # the folds are built once per fit and serve both CVs: the fit
+        # equals one at the chosen kappa, bit for bit
+        rng = np.random.default_rng(44)
+        X = rng.standard_normal((50, 30))
+        Z = DataMatrix.from_arrays(X[:, 0] + rng.standard_normal(50), X)
+        with mock.patch.object(regression, "_cv_folds",
+                               wraps=regression._cv_folds) as spy:
+            fit = fit_gr_alasso(Z, weights="ridge", kappa="cv", seed=3)
+        assert spy.call_count == 1
+        values = score_matrix(Z, "gaussian-rank")
+        kappa = regression._ridge_kappa_by_cv(
+            values, *regression._cv_folds(values, 5, 3))
+        ref = fit_gr_alasso(Z, weights="ridge", kappa=kappa, seed=3)
+        assert fit.weights.source == ref.weights.source == f"ridge(kappa={kappa:g})"
+        for got, want in ((fit.beta, ref.beta), (fit.path.coefficients,
+                                                 ref.path.coefficients),
+                          (fit.cv.mean_errors, ref.cv.mean_errors),
+                          (fit.weights.weights, ref.weights.weights)):
+            assert got.tobytes() == want.tobytes()
+        assert fit.lambda_ == ref.lambda_ and fit.intercept == ref.intercept
 
     def test_requires_ten_rows(self):
         rng = np.random.default_rng(45)

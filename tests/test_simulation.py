@@ -1,11 +1,16 @@
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gralasso import regression, simulation
+from gralasso.covariance import gaussian_rank_corr_matrix, pearson_corr_matrix
 from gralasso.data import DataMatrix
+from gralasso.regression import fit_gr_alasso
 from gralasso.simulation import (
+    METHOD_OPTIONS,
     RECORD_FIELDS,
     BenchmarkRecord,
     ContaminationSpec,
@@ -295,6 +300,115 @@ class TestRunGrid:
         tprs = [row["tpr_mean"] for row in sorted(rows, key=lambda r: r["e"])]
         for lo, hi in zip(tprs[1:], tprs[:-1]):
             assert lo <= hi + 0.03  # qualitative trend, MC slack
+
+
+_GRID_PAPER = [(e, g) for e in (0.05, 0.10) for g in (2.0, 10.0)]
+_METHODS = ("gr-alasso", "alasso", "lasso")
+_CORR = {"gaussian-rank": gaussian_rank_corr_matrix,
+         "pearson": pearson_corr_matrix}
+
+
+def _fit_arrays(fit):
+    """The arrays of a fit that stacking leaves bit for bit as they are."""
+    return (fit.beta, np.array([fit.intercept, fit.lambda_]), fit.path.lambdas,
+            fit.path.coefficients, fit.path.iterations, fit.path.converged,
+            fit.weights.weights, fit.locations, fit.scales,
+            fit.correlation.matrix)
+
+
+def _kkt_residual(Z, fit):
+    """Largest KKT violation at the chosen lambda, from a correlation matrix
+    computed afresh from the table."""
+    R = _CORR[fit.estimator](Z)
+    b = fit.path.coefficients[list(fit.path.lambdas).index(fit.lambda_)]
+    w = fit.weights.weights
+    finite = np.isfinite(w)
+    assert not b[~finite].any()
+    grad = 2.0 * Z.n * (R.xx @ b - R.xy)
+    lamw = fit.lambda_ * np.where(finite, w, 0.0)
+    viol = np.where(b != 0.0, np.abs(grad + lamw * np.sign(b)),
+                    np.maximum(np.abs(grad) - lamw, 0.0))
+    return float(viol[finite].max(initial=0.0))
+
+
+def _without_runtime(records):
+    return [replace(rec, runtime_ms=0.0) for rec in records]
+
+
+class TestReplicateLockstep:
+    """A replicate prepares its methods, traces all their path problems as
+    one stack and finishes each method on its own rows."""
+
+    @pytest.mark.parametrize("e, gamma", _GRID_PAPER)
+    @pytest.mark.parametrize("seed0", [0, 1, 2])
+    def test_stacked_fits_are_the_standalone_fits(self, e, gamma, seed0):
+        rs = cell_seed(seed0, e, gamma, 0)
+        train = replicate_data(SimDesign(), e, gamma, rs)[0]
+        seed = mix_seed(rs, 7)
+        fits = simulation._replicate_fits(train, _METHODS, seed, {})
+        assert list(fits) == list(_METHODS)
+        for method, (fit, ms) in fits.items():
+            alone = fit_gr_alasso(train, seed=seed, **METHOD_OPTIONS[method])
+            assert ms > 0.0
+            assert fit.support == alone.support
+            assert fit.weights.source == alone.weights.source
+            for got, want in zip(_fit_arrays(fit), _fit_arrays(alone)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            # a fold's stacked solves may be padded wider than in its own
+            # fit, which moves the last bits of a few fold paths
+            assert (fit.cv.idx_min, fit.cv.idx_1se) == (alone.cv.idx_min,
+                                                        alone.cv.idx_1se)
+            for got, want in ((fit.cv.mean_errors, alone.cv.mean_errors),
+                              (fit.cv.se_errors, alone.cv.se_errors)):
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            assert fit.converged
+            assert _kkt_residual(train, fit) <= 10.0 * 1e-7 * train.n
+
+    def test_a_failed_preparation_fails_its_method_alone(self, monkeypatch):
+        task = (SimDesign(), 0.05, 2.0, 0, _METHODS, 3, False, {})
+        clean = simulation._replicate_records(task)
+        real = regression.column_summaries
+
+        def summaries(Z, estimator="gr"):
+            if estimator == "gr":
+                raise ValueError("no summaries")
+            return real(Z, estimator)
+
+        monkeypatch.setattr(regression, "column_summaries", summaries)
+        records = simulation._replicate_records(task)
+        assert records[0].status == "failed:ValueError"
+        assert np.isnan(records[0].tpr) and records[0].runtime_ms >= 0.0
+        assert _without_runtime(records[1:]) == _without_runtime(clean[1:])
+
+    def test_a_failed_trace_fails_its_method_alone(self, monkeypatch):
+        # the shared stack raises, so each method is traced on its own
+        task = (SimDesign(), 0.10, 10.0, 1, _METHODS, 4, False, {})
+        clean = simulation._replicate_records(task)
+        real = simulation._trace
+
+        def trace(plans):
+            if any(plan.R.estimator == "gaussian-rank" for plan in plans):
+                raise np.linalg.LinAlgError("singular")
+            return real(plans)
+
+        monkeypatch.setattr(simulation, "_trace", trace)
+        records = simulation._replicate_records(task)
+        assert records[0].status == "failed:LinAlgError"
+        assert _without_runtime(records[1:]) == _without_runtime(clean[1:])
+
+    def test_pearson_methods_share_one_table_stage(self):
+        # the adaptive Lasso and the Lasso read one Pearson table stage and
+        # one set of folds
+        task = (SimDesign(), 0.05, 10.0, 0, _METHODS, 5, False, {})
+        with mock.patch.object(regression, "score_matrix",
+                               wraps=regression.score_matrix) as scores, \
+                mock.patch.object(regression, "_cv_folds",
+                                  wraps=regression._cv_folds) as folds:
+            records = simulation._replicate_records(task)
+        assert all(r.status == "ok" for r in records)
+        assert scores.call_count == 2  # gaussian-rank and pearson
+        assert folds.call_count == 2
 
 
 class TestRecordCsv:
