@@ -14,7 +14,7 @@ The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
 2000; Efron et al. 2004). The solver traces that path exactly from
 lambda = +inf: one linear solve on the active set per piece, the next kink
 where a coefficient reaches zero or an inactive gradient reaches its
-penalty, every grid point written off its piece in closed form, and one KKT
+penalty, each piece writing its own grid points in closed form, and one KKT
 certificate pass over the whole path. Problems are traced in lockstep as
 one stack, with one stacked linear solve per round, and each problem has
 its own weights and grid. A fit runs in three stages: `_prepare` builds its
@@ -300,7 +300,7 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     bits. A stack of one is never padded and rounds as a single problem
     would. Each round only records its pieces, active-set wide (live rows,
     padded indices, u and v, the lambdas where they start and end); after
-    the rounds one vectorised pass writes every grid point off its piece
+    the rounds each recorded round writes the grid points its pieces hold
     (`_write_pieces`), and one KKT pass per problem certifies its whole
     path. `pieces[f, i]` counts problem f's pieces started since grid point
     i - 1.
@@ -382,64 +382,24 @@ def _solve_path(grams, cs, wv, grid, n, tol):
          for g, c, lams, w, b in zip(grams, cs, grid, wv, coefs)])
 
 
-_WRITE_CHUNK = 2 ** 15
-
-
 def _write_pieces(rounds, grid, p):
     """Coefficients (F, G, p) and piece counts (F, G) from the pieces the
     rounds of `_solve_path` recorded over the grids (F, G): per round its
     live problems, the lambdas where their pieces start and end, the padded
-    active indices and the solved [u v]. A piece holds the grid points of
-    its problem below its start down to its end, and writes u - lambda v at
-    each of them."""
+    active indices and the solved [u v]. Round by round, a piece counts at
+    the first grid point of its problem below its start, and writes
+    u - lambda v at each grid point below its start down to its end."""
     n_prob, n_grid = grid.shape
-    if not rounds:
-        return (np.zeros((n_prob, n_grid, p)),
-                np.zeros((n_prob, n_grid), dtype=int))
-    live, here, end, idx, uv = zip(*rounds)
-    prob = np.concatenate(live)
-    # grid points at or above a lambda: the first one below it
-    start = (grid[prob] >= np.concatenate(here)[:, None]).sum(axis=1)
-    stop = (grid[prob] >= np.concatenate(end)[:, None]).sum(axis=1)
-    pieces = np.bincount(prob * n_grid + start,
-                         minlength=n_prob * n_grid).reshape(n_prob, -1)
-    # the pieces partition each problem's grid: one holds each grid point
-    size = stop - start
-    which = np.empty((n_prob, n_grid), dtype=int)
-    which[np.repeat(prob, size), _ranges(start, size)] = np.repeat(
-        np.arange(prob.size), size)
-    # the padded entries of all pieces: piece, coordinate, [u v]
-    owner = np.repeat(np.arange(prob.size), np.repeat(
-        [b.shape[1] for b in uv], [b.shape[0] for b in uv]))
-    coord = np.concatenate([b.ravel() for b in idx])
-    uv = np.concatenate([b.reshape(-1, 2) for b in uv])
-    coefs = np.empty((n_prob, n_grid, p))
-    # a chunk of problems at a time, as its pieces' u and v over all p
-    # coordinates (0 off the padded block), gathered at every grid point:
-    # both grow with p, so a chunk holds about _WRITE_CHUNK grid values
-    step = max(1, _WRITE_CHUNK // (n_grid * p))
-    for lo in range(0, n_prob, step):
-        mine = (prob >= lo) & (prob < lo + step)
-        row = np.cumsum(mine) - 1  # a piece's row in the chunk's table
-        entry = np.flatnonzero(mine[owner])
-        at = row[owner[entry]] * p + coord[entry]
-        table = np.zeros((2, (row[-1] + 1) * p))
-        table[0, at] = uv[entry, 0]
-        table[1, at] = uv[entry, 1]
-        table = table.reshape(2, -1, p)
-        held = row[which[lo:lo + step]]
-        out = coefs[lo:lo + step]
-        # u - lambda v as -(lambda v) + u: the same bits, one temporary
-        np.take(table[1], held, axis=0, out=out)
-        out *= -grid[lo:lo + step, :, None]
-        out += np.take(table[0], held, axis=0)
+    coefs = np.zeros((n_prob, n_grid, p))
+    pieces = np.zeros((n_prob, n_grid), dtype=int)
+    for live, here, end, idx, uv in rounds:
+        lams = grid[live]
+        below = lams < here[:, None]
+        pieces[live, n_grid - below.sum(axis=1)] += 1
+        r, i = np.nonzero(below & (lams >= end[:, None]))
+        coefs[live[r, None], i[:, None], idx[r]] = (
+            uv[r, :, 0] - lams[r, i, None] * uv[r, :, 1])
     return coefs, pieces
-
-
-def _ranges(starts, counts):
-    """The ranges starts[k], ..., starts[k] + counts[k] - 1, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts)
 
 
 def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
@@ -546,10 +506,7 @@ def _cv_curve(values, blocks, grid, coefs, conv) -> CvCurve:
         warnings.warn("cross-validation: the lasso solver did not certify "
                       f"convergence at {int(np.sum(~conv))} of {conv.size} "
                       "fold grid points")
-    errors = np.array([
-        np.mean((values[block, 0][:, None] - values[block, 1:] @ b.T) ** 2,
-                axis=0)
-        for block, b in zip(blocks, coefs)])
+    errors = _held_out_errors(values, blocks, coefs)
     mean = errors.mean(axis=0)
     se = errors.std(axis=0, ddof=1) / np.sqrt(len(blocks))
     idx_min = int(np.argmin(mean))
@@ -557,6 +514,16 @@ def _cv_curve(values, blocks, grid, coefs, conv) -> CvCurve:
     idx_1se = int(np.flatnonzero(mean <= threshold)[0])
     return CvCurve(lambdas=grid.copy(), mean_errors=mean, se_errors=se,
                    idx_min=idx_min, idx_1se=idx_1se)
+
+
+def _held_out_errors(values, blocks, betas):
+    """Held-out errors (folds, K) of coefficient rows `betas` (folds, K, p):
+    the mean squared residual of pseudo response minus pseudo predictors
+    times each row, over each fold's held-out rows."""
+    return np.array([
+        np.mean((values[block, 0][:, None] - values[block, 1:] @ b.T) ** 2,
+                axis=0)
+        for block, b in zip(blocks, betas)])
 
 
 def destandardize(beta_std, summaries):
@@ -610,14 +577,13 @@ _RIDGE_KAPPAS = np.logspace(-3.0, 1.0, 9)
 def _ridge_kappa_by_cv(values, grams, cs, blocks):
     """Pick the ridge penalty for the initial estimate from `_RIDGE_KAPPAS`
     by pseudo-data CV over the folds of `values` (`_cv_folds`): one solve
-    over the fold stack per kappa."""
+    over the fold stack per kappa, as one (folds, kappas, p, p) solve would
+    hold nine times the fold grams."""
     eye = np.eye(grams.shape[1])
-    errs = []
-    for kap in _RIDGE_KAPPAS:
-        betas = np.linalg.solve(grams + kap * eye, cs[..., None])[..., 0]
-        errs.append([np.mean((values[block, 0] - values[block, 1:] @ b) ** 2)
-                     for block, b in zip(blocks, betas)])
-    return float(_RIDGE_KAPPAS[int(np.argmin(np.mean(errs, axis=1)))])
+    betas = np.stack([np.linalg.solve(grams + kap * eye, cs[..., None])[..., 0]
+                      for kap in _RIDGE_KAPPAS], axis=1)
+    errors = _held_out_errors(values, blocks, betas)
+    return float(_RIDGE_KAPPAS[int(np.argmin(errors.mean(axis=0)))])
 
 
 @dataclass(frozen=True)

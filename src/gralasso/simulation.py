@@ -342,6 +342,8 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
                          "results are ingested as CSV instead")
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if len(e_list) == 0 or len(gamma_list) == 0:
         raise ValueError("e_list and gamma_list must be nonempty")
     cells = {}

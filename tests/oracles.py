@@ -279,12 +279,12 @@ def solve_path_reference(gram, c, wv, grid, n, tol):
 
 
 def write_pieces_per_round(rounds, grids, p):
-    """The per-round grid write that `regression._write_pieces` replaced,
-    kept as its reference: for each round's records (live problems, start
-    and end lambdas, padded active indices, solved [u v]) it counts a piece
-    at the first point of its problem's grid (a row of `grids`) below its
-    start and writes u - lambda v at every grid point below the start down
-    to the end."""
+    """The per-round grid write, the reference for
+    `regression._write_pieces`, which writes the same way: for each round's
+    records (live problems, start and end lambdas, padded active indices,
+    solved [u v]) it counts a piece at the first point of its problem's grid
+    (a row of `grids`) below its start and writes u - lambda v at every grid
+    point below the start down to the end."""
     n_prob, n_grid = grids.shape
     coefs = np.zeros((n_prob, n_grid, p))
     pieces = np.zeros((n_prob, n_grid), dtype=int)

@@ -468,6 +468,15 @@ class TestBenchmark:
         assert "must be nonempty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_a_usage_error(self, tmp_path, capsys,
+                                                 threads):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), "--threads",
+                     threads]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_flag_matches_serial_aggregate(self, tmp_path):
         base = ["benchmark", "--n", "60", "--p", "5", "--e-list", "0.05",
                 "--gamma-list", "8", "--replicates", "4", "--methods",

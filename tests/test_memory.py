@@ -5,7 +5,8 @@ made before tracing starts) and, unlike RSS, does not depend on the
 allocator's history, so it can be pinned. Each bound is stated relative to
 the arrays the call must hold, and lies 5% above that ratio as measured at
 commit 7ac93b3, before the whole-table column summaries, or for the
-benchmark replicate when its methods were first traced as one stack.
+benchmark replicate at the commit after afeb831, which made the grid write
+of `_solve_path` per round.
 """
 
 import tracemalloc
@@ -22,10 +23,11 @@ from gralasso.simulation import SimDesign, _replicate_records
 # 1.276 times the table
 FIT_PEAK_PER_STACK_BYTE = 1.537
 SUMMARIES_PEAK_PER_TABLE_BYTE = 1.276
-# a 100 x 20 replicate of three methods held about 1.19 MB, 3.437 times
+# a 100 x 20 replicate of three methods held 777,091 bytes, 2.249 times
 # its (18, p, p) gram stack plus its (18, G, p) coefficients: each method's
-# five folds and full data, traced as one stack
-REPLICATE_PEAK_PER_STACK_BYTE = 3.437
+# five folds and full data, traced as one stack. The chunked gather write
+# before it held 1,188,163 bytes (3.438 times), which this bound refuses.
+REPLICATE_PEAK_PER_STACK_BYTE = 2.249
 
 
 def _ar1_table(seed, n, p, rho=0.5, rate=0.05):

@@ -521,10 +521,14 @@ def _written(path, text):
      "magnitude must be nonnegative"),
     (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], replicates=0),
      "replicates must be positive"),
+    (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], threads=0),
+     "threads must be at least 1"),
+    (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], threads=-3),
+     "threads must be at least 1"),
     (lambda tmp: read_records_csv(_written(tmp / "empty.csv", "\n# seed=1\n")),
      "empty records file"),
 ], ids=["n", "p", "noise-sd", "beta-length", "magnitude", "replicates",
-        "empty-records"])
+        "threads-zero", "threads-negative", "empty-records"])
 def test_errors_are_named(tmp_path, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tmp_path)
