@@ -22,9 +22,10 @@ plan (summaries, scores, correlation, weights, grid and the stack of its
 cross-validation folds and full data; at a fixed lambda, the full data
 alone as a one-point path), `_trace` traces the stacks of one or more
 plans together, and `_finish` makes the CV choice and the `SelectionFit`.
-A benchmark replicate traces its methods' plans as one stack.
+`_fit_stack` runs them: for one fit, or for a benchmark replicate's methods.
 """
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -744,11 +745,35 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     instead of the one-standard-error choice. The options are checked
     before any work, also those that the chosen mode leaves unused.
     """
-    plan = _prepare(Z, estimator=estimator, weights=weights, kappa=kappa,
-                    exclusion_eps=exclusion_eps, n_lambda=n_lambda,
-                    lambda_ratio=lambda_ratio, folds=folds, rule=rule,
-                    seed=seed, fixed_lambda=fixed_lambda)
-    return _finish(plan, *_trace([plan])[0])
+    return _fit_stack(Z, [dict(
+        estimator=estimator, weights=weights, kappa=kappa,
+        exclusion_eps=exclusion_eps, n_lambda=n_lambda,
+        lambda_ratio=lambda_ratio, folds=folds, rule=rule, seed=seed,
+        fixed_lambda=fixed_lambda)])[0][0]
+
+
+def _fit_stack(Z, option_sets):
+    """[(SelectionFit, milliseconds)], one fit of `Z` per option set (the
+    options of `fit_gr_alasso`): all prepared with one cache, traced as one
+    lockstep stack (grids of one length) and each finished on its own rows.
+    A fit's time is its preparation and finish plus its problem-count share
+    of the trace. An exception from any stage propagates."""
+    cache, plans, ms = {}, [], []
+    for options in option_sets:
+        t0 = time.perf_counter()
+        plans.append(_prepare(Z, cache, **options))
+        ms.append(time.perf_counter() - t0)
+    del cache  # the plans hold what they use
+    t0 = time.perf_counter()
+    rows = _trace(plans)
+    share = (time.perf_counter() - t0) / sum(len(plan.cs) for plan in plans)
+    fits = []
+    for plan, row, t in zip(plans, rows, ms):
+        t0 = time.perf_counter()
+        fit = _finish(plan, *row)
+        t += time.perf_counter() - t0 + share * len(plan.cs)
+        fits.append((fit, t * 1000.0))
+    return fits
 
 
 # one set of option defaults: `_prepare` takes `fit_gr_alasso`'s

@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import DataMatrix, write_csv
-from .regression import (_finish, _prepare, _trace, column_summaries,
-                         fit_gr_alasso)
+from .regression import _fit_stack, column_summaries, fit_gr_alasso
 
 __all__ = [
     "SimDesign",
@@ -265,58 +264,25 @@ def _replicate_fits(train, methods, seed, fit_kwargs):
     **options)`: the same bits but for the last bits of some CV errors,
     where a fold's stacked solves were padded wider than in its own fit.
 
-    Every method is prepared first; the Pearson ones share one table stage
-    and one set of folds. The path problems of all prepared methods are then
-    traced as one lockstep stack (one per grid length), and each method is
-    finished on its own rows. A method whose stage raises fails alone; if
-    the shared trace raises, each method is traced on its own. A method's
-    time is its own preparation and finish plus its problem-count share of
-    the trace it was in.
+    The methods are fitted as one stack (`regression._fit_stack`, whose
+    per-fit times they keep); the Pearson ones share one table stage and
+    one set of folds. If the stack raises, each method is fitted alone by
+    `fit_gr_alasso`, so a failing method fails alone, timed on its own.
     """
-    out = {}  # a method's plan, then its fit, or the exception that stopped it
-    ms = dict.fromkeys(methods, 0.0)
-
-    def stage(method, call):
-        t0 = time.perf_counter()
-        try:
-            out[method] = call()
-        except Exception as exc:  # noqa: BLE001 - per-method isolation
-            out[method] = exc
-        ms[method] += (time.perf_counter() - t0) * 1000.0
-
-    cache = {}
-    for method in methods:
-        options = {**METHOD_OPTIONS[method], **fit_kwargs}
-        stage(method, lambda: _prepare(train, cache, seed=seed, **options))
-    del cache  # the plans hold what they use
-    groups = {}
-    for method in methods:
-        if not isinstance(out[method], Exception):
-            groups.setdefault(out[method].grid.size, []).append(method)
-    for group in groups.values():
-        plans = [out[m] for m in group]
-        t0 = time.perf_counter()
-        rows = _trace_each(plans)
-        share = (time.perf_counter() - t0) * 1000.0 / sum(
-            len(plan.cs) for plan in plans)
-        for method, plan, row in zip(group, plans, rows):
-            ms[method] += share * len(plan.cs)
-            if isinstance(row, Exception):
-                out[method] = row
-            else:
-                stage(method, lambda: _finish(plan, *row))
-    return {m: (out[m], ms[m]) for m in methods}
-
-
-def _trace_each(plans):
-    """`_trace(plans)`, or where the stack raises, each plan traced on its
-    own: its rows or the exception its own trace raised."""
+    options = [{**METHOD_OPTIONS[m], **fit_kwargs} for m in methods]
     try:
-        return _trace(plans)
-    except Exception as exc:  # noqa: BLE001 - per-method isolation
-        if len(plans) == 1:
-            return [exc]
-        return [_trace_each([plan])[0] for plan in plans]
+        return dict(zip(methods, _fit_stack(
+            train, [dict(seed=seed, **opts) for opts in options])))
+    except Exception:  # noqa: BLE001 - each method is then fitted alone
+        out = {}
+        for method, opts in zip(methods, options):
+            t0 = time.perf_counter()
+            try:
+                fit = fit_gr_alasso(train, seed=seed, **opts)
+            except Exception as exc:  # noqa: BLE001 - per-method isolation
+                fit = exc
+            out[method] = (fit, (time.perf_counter() - t0) * 1000.0)
+        return out
 
 
 def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,

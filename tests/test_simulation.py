@@ -382,20 +382,38 @@ class TestReplicateLockstep:
         assert _without_runtime(records[1:]) == _without_runtime(clean[1:])
 
     def test_a_failed_trace_fails_its_method_alone(self, monkeypatch):
-        # the shared stack raises, so each method is traced on its own
+        # the shared stack raises, so each method is fitted on its own
         task = (SimDesign(), 0.10, 10.0, 1, _METHODS, 4, False, {})
         clean = simulation._replicate_records(task)
-        real = simulation._trace
+        real = regression._trace
 
         def trace(plans):
             if any(plan.R.estimator == "gaussian-rank" for plan in plans):
                 raise np.linalg.LinAlgError("singular")
             return real(plans)
 
-        monkeypatch.setattr(simulation, "_trace", trace)
+        monkeypatch.setattr(regression, "_trace", trace)
         records = simulation._replicate_records(task)
         assert records[0].status == "failed:LinAlgError"
         assert _without_runtime(records[1:]) == _without_runtime(clean[1:])
+
+    def test_a_replicate_is_one_trace_and_no_standalone_fit(self):
+        task = (SimDesign(), 0.05, 10.0, 2, _METHODS, 6, False, {})
+        with mock.patch.object(regression, "_trace",
+                               wraps=regression._trace) as trace, \
+                mock.patch.object(simulation, "fit_gr_alasso",
+                                  wraps=simulation.fit_gr_alasso) as alone:
+            records = simulation._replicate_records(task)
+        assert all(r.status == "ok" for r in records)
+        assert trace.call_count == 1
+        assert len(trace.call_args.args[0]) == len(_METHODS)
+        assert alone.call_count == 0
+
+    def test_a_stack_needs_grids_of_one_length(self):
+        train = replicate_data(SimDesign(), 0.05, 10.0, 11)[0]
+        with pytest.raises(ValueError):
+            regression._fit_stack(train, [dict(n_lambda=10),
+                                          dict(n_lambda=20)])
 
     def test_pearson_methods_share_one_table_stage(self):
         # the adaptive Lasso and the Lasso read one Pearson table stage and
