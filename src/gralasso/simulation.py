@@ -297,7 +297,9 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     `contaminate_test` is set. Per-replicate failures are recorded
     with a failure status instead of aborting the grid. Records come back
     sorted by (e, gamma, replicate, method) regardless of `threads`.
-    Distinct cells that `cell_seed` would give the same seeds are rejected.
+    Before any replicate runs, repeated values in `e_list`, `gamma_list` or
+    `methods`, cells that `ContaminationSpec` rejects and distinct cells
+    that `cell_seed` would give the same seeds are rejected.
     """
     methods = tuple(methods)
     if "gr-alasso" not in methods:
@@ -312,8 +314,13 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
         raise ValueError("threads must be at least 1")
     if len(e_list) == 0 or len(gamma_list) == 0:
         raise ValueError("e_list and gamma_list must be nonempty")
+    for name, values in (("e_list", e_list), ("gamma_list", gamma_list),
+                         ("methods", methods)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeats a value: {list(values)}")
     cells = {}
-    for cell in sorted({(float(e), float(g)) for e in e_list for g in gamma_list}):
+    for cell in sorted((float(e), float(g)) for e in e_list for g in gamma_list):
+        ContaminationSpec(*cell)  # the replicates' own check, up front
         other = cells.setdefault(_cell_key(*cell), cell)
         if other != cell:
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
@@ -322,8 +329,9 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     tasks = [(design, float(e), float(g), r, methods, seed0,
               contaminate_test, fit_kwargs)
              for e in e_list for g in gamma_list for r in range(replicates)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_replicate_records, tasks, chunksize=4))
     else:
         chunks = [_replicate_records(t) for t in tasks]

@@ -468,6 +468,18 @@ class TestBenchmark:
         assert "must be nonempty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--e-list", "0.05,0.05", "e_list"),
+        ("--gamma-list", "4,4", "gamma_list"),
+        ("--methods", "gr-alasso,lasso,lasso", "methods")])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, flag,
+                                                value, name):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), "--replicates",
+                     "1", flag, value]) == 2
+        assert f"{name} repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_are_a_usage_error(self, tmp_path, capsys,
                                                  threads):

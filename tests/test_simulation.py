@@ -234,11 +234,59 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="must be nonempty"):
             run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=1)
 
-    def test_repeated_cell_values_are_not_a_clash(self):
-        recs = run_grid(SimDesign(n=60, p=5), [0.0, 0.0], [2.0], replicates=1,
-                        seed0=1)
-        assert len(recs) == 2
-        assert recs[0].tpr == recs[1].tpr
+    def test_rejects_repeated_grid_values(self, monkeypatch):
+        # a repeated value would run its replicates twice (or collapse a
+        # method to one record) and fake the precision of the aggregate
+        spy = mock.Mock(wraps=simulation._replicate_records)
+        monkeypatch.setattr(simulation, "_replicate_records", spy)
+        for grid, name in [(([0.05, 0.05], [2.0], ("gr-alasso",)), "e_list"),
+                           (([0.05], [2.0, 2.0], ("gr-alasso",)),
+                            "gamma_list"),
+                           (([0.05], [2.0], ("gr-alasso", "lasso", "lasso")),
+                            "methods")]:
+            e_list, gamma_list, methods = grid
+            with pytest.raises(ValueError, match=f"^{name} repeats a value"):
+                run_grid(SimDesign(n=30, p=5), e_list, gamma_list,
+                         replicates=2, methods=methods)
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("e_list, gamma_list, message", [
+        ([0.05, 1.0], [2.0], "rate must lie in [0, 1)"),
+        ([0.05], [2.0, -1.0], "magnitude must be nonnegative"),
+    ])
+    def test_grid_values_are_checked_before_any_replicate(
+            self, monkeypatch, e_list, gamma_list, message):
+        spy = mock.Mock(wraps=simulation._replicate_records)
+        monkeypatch.setattr(simulation, "_replicate_records", spy)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=3)
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("threads, replicates, pool_workers", [
+        (64, 2, 2), (2, 3, 2), (8, 1, None)])
+    def test_workers_are_capped_at_the_task_count(
+            self, monkeypatch, threads, replicates, pool_workers):
+        pools = []
+
+        class SerialPool:
+            # records its size and maps in-process: no worker is started
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return map(func, tasks)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        recs = run_grid(SimDesign(n=30, p=5), [0.0], [2.0],
+                        replicates=replicates, seed0=1, threads=threads)
+        assert len(recs) == replicates
+        assert pools == ([] if pool_workers is None else [pool_workers])
 
     def test_bookkeeping_one_cell(self):
         recs = run_grid(SimDesign(n=60, p=5), [0.0], [2.0], replicates=3,
