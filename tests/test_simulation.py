@@ -239,12 +239,10 @@ class TestRunGrid:
         # method to one record) and fake the precision of the aggregate
         spy = mock.Mock(wraps=simulation._replicate_records)
         monkeypatch.setattr(simulation, "_replicate_records", spy)
-        for grid, name in [(([0.05, 0.05], [2.0], ("gr-alasso",)), "e_list"),
-                           (([0.05], [2.0, 2.0], ("gr-alasso",)),
-                            "gamma_list"),
-                           (([0.05], [2.0], ("gr-alasso", "lasso", "lasso")),
-                            "methods")]:
-            e_list, gamma_list, methods = grid
+        for e_list, gamma_list, methods, name in [
+                ([0.05, 0.05], [2.0], ("gr-alasso",), "e_list"),
+                ([0.05], [2.0, 2.0], ("gr-alasso",), "gamma_list"),
+                ([0.05], [2.0], ("gr-alasso", "lasso", "lasso"), "methods")]:
             with pytest.raises(ValueError, match=f"^{name} repeats a value"):
                 run_grid(SimDesign(n=30, p=5), e_list, gamma_list,
                          replicates=2, methods=methods)
@@ -459,7 +457,7 @@ class TestReplicateLockstep:
 
     def test_a_stack_needs_grids_of_one_length(self):
         train = replicate_data(SimDesign(), 0.05, 10.0, 11)[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must match exactly"):
             regression._fit_stack(train, [dict(n_lambda=10),
                                           dict(n_lambda=20)])
 
