@@ -7,7 +7,6 @@ argument.
 """
 
 import csv
-import itertools
 import math
 import re
 import string
@@ -100,10 +99,11 @@ class DataMatrix:
 
         Every cell must be a finite float written in ASCII; the error message
         names the first offending row (1-based, excluding the header) and
-        column. A body of plain number lines is parsed in one np.loadtxt
-        pass (_bulk_rows); any other body streams through the checked
-        parser (_checked_rows), which reads the same numbers and names the
-        first bad cell.
+        column. LF, CRLF and lone-CR line ends read alike. A body of plain
+        number lines is parsed in one np.loadtxt pass over the whole file
+        (_bulk_rows); any other body streams through the checked parser
+        (_checked_rows), which reads the same numbers and names the first
+        bad cell.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             # strict: text after a cell's closing quote is an error, not
@@ -135,7 +135,7 @@ class DataMatrix:
 
 
 # the bytes of a line of decimal, nan and inf cells, quoted or not
-_PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\r\n\""
+_PLAIN = b"0123456789.+-eEnNaAiIfFtTyY \t,\""
 # a cell quoted whole, maybe with spaces or tabs after its closing quote
 _QUOTED_CELL = re.compile(rb'"[^"]*"[ \t]*')
 # spaces or tabs between a quote and a delimiter or line end
@@ -149,55 +149,41 @@ def _trim_after_quotes(line):
     return _SPACE_AFTER_QUOTE.sub('"', line) if '"' in line else line
 
 
-class _NotPlain(Exception):
-    """A line holds a byte outside _PLAIN, a quote that does not enclose a
-    whole cell, or is too long for one cell."""
-
-
-def _plain_lines(fh, limit, seen):
-    for line in fh:
+def _bulk_rows(path, skip, width):
+    """The rows after the first `skip` lines of the file at `path`, parsed
+    in one np.loadtxt pass as a float table `width` cells wide, or None
+    where _checked_rows must decide. The file is split once, at LF, CRLF
+    and lone CR line ends as csv splits it. The pass declines a line of
+    other bytes ('_', '#', non-ASCII, control characters that loadtxt
+    strips as space), with a quote that does not enclose a whole cell
+    (spaces and tabs may follow its closing quote; a quoted cell spanning
+    lines does not) or longer than csv.field_size_limit(), a parse error
+    or warning, no rows, a ragged or wrong width, or a non-finite cell.
+    Whitespace-only lines are skipped, as _checked_rows skips them. On
+    plain lines, cells quoted or not, loadtxt and float() read the same
+    grammar to the same bits."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    del lines[:skip]
+    limit = csv.field_size_limit()
+    for line in lines:
         if len(line) > limit or line.translate(None, _PLAIN):
-            raise _NotPlain
+            return None
         # a quote must open a cell and close it before the cell ends;
         # loadtxt would read "1"2 as 12
         if b'"' in line and not all(
                 b'"' not in cell or _QUOTED_CELL.fullmatch(cell)
-                for cell in line.rstrip(b"\r\n").split(b",")):
-            raise _NotPlain
-        # the checked parser skips whitespace-only lines too
-        if line.strip():
-            seen[0] += 1
-            yield line
-
-
-def _bulk_rows(path, skip, width):
-    """The rows after the first `skip` lines of the file at `path`, parsed
-    in one np.loadtxt pass as a float table `width` cells wide, or None
-    where _checked_rows must decide: a line of other bytes ('_', '#',
-    non-ASCII, control characters that loadtxt strips as space), with a
-    quote that does not enclose a whole cell (spaces and tabs may follow
-    its closing quote) or longer than csv.field_size_limit(), a lone CR in
-    the skipped header, a parse
-    error or warning, a quoted cell spanning lines (fewer rows than lines),
-    no rows, a ragged or wrong width, or a non-finite cell. Whitespace-only
-    lines are skipped, as _checked_rows skips them. On plain lines, cells
-    quoted or not, loadtxt and float() read the same grammar to the same
-    bits."""
-    seen = [0]  # lines handed to loadtxt
-    with open(path, "rb") as fh:
-        for line in itertools.islice(fh, skip):
-            # csv counted a lone CR as a line end; binary lines split at LF
-            if line.count(b"\r") != line.endswith(b"\r\n"):
-                return None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                arr = np.loadtxt(_plain_lines(fh, csv.field_size_limit(), seen),
-                                 delimiter=",", comments=None, quotechar='"',
-                                 ndmin=2, dtype=float, encoding="ascii")
-            except (_NotPlain, ValueError):
-                return None
-    if (caught or not 0 < arr.shape[0] == seen[0] or arr.shape[1] != width
+                for cell in line.split(b",")):
+            return None
+    lines = [line for line in lines if line.strip()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            arr = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                             ndmin=2, dtype=float, encoding="ascii")
+        except ValueError:
+            return None
+    if (caught or not 0 < arr.shape[0] == len(lines) or arr.shape[1] != width
             or not np.isfinite(arr).all()):
         return None
     return arr

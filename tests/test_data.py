@@ -296,6 +296,20 @@ class TestBulkParse:
                                side_effect=AssertionError):
             assert _read(path) == expected
 
+    @pytest.mark.parametrize("text", [
+        "y,a\r1,2\r3,4\r", "y,a\r1,2\n3,4\n", "y,a\n1,2\r3,4\n",
+        'y,a\r\n1,"2"\r \t\r\r"3" ,4', '"a\rb",y\r1,2\r\n3,4',
+    ], ids=["lone-cr", "cr-header", "cr-inside-lf-body", "cr-mixed-quoted",
+            "cr-in-quoted-header"])
+    def test_lone_cr_line_ends_take_the_bulk_pass(self, tmp_path, text):
+        path = _toy(tmp_path, text)
+        with mock.patch.object(data, "_bulk_rows", return_value=None):
+            expected = _read(path)
+        assert isinstance(expected, tuple) and expected[1] == (2, 2)
+        with mock.patch.object(data, "_checked_rows",
+                               side_effect=AssertionError):
+            assert _read(path) == expected
+
     @pytest.mark.parametrize("text, message", [
         # the third row's bad cell would be named if row 1 were read as 12
         ('y,a\n"1"2,3\n4,5\n_10,6\n', "row 1: ',' expected after '\"'"),
@@ -315,13 +329,14 @@ class TestBulkParse:
         assert _read(path) == f"unreadable {message}"
 
     @pytest.mark.parametrize("text", [
-        "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", "y,a\n1,2#3\n", "y,a\r1,2\n",
-        "y,a\n1,inf\n", "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",
+        "y,a\n1,\x1c3\n", "y,a\n1,3\x1f\n", "y,a\n1,2#3\n", "y,a\n1,inf\n",
+        "y,a\n1,2,3\n", "y,a\n1\n", "y,a\n",
         "y,a\n1,2\n" + "0" * csv.field_size_limit() + "1,2\n",
         # a quoted line end: the row spans lines, and csv numbers the rows
-        'y,a\n"1\n",2\n', 'y,a\n"1,2",3\n', 'y,a\n1,"nan"\n',
-    ], ids=["leading-fs", "trailing-us", "hash", "cr-header", "inf", "wide",
-            "narrow", "no-rows", "long-line", "quoted-lf", "quoted-comma",
+        'y,a\n"1\n",2\n', 'y,a\r"1\r",2\r', 'y,a\n"1,2",3\n',
+        'y,a\n1,"nan"\n',
+    ], ids=["leading-fs", "trailing-us", "hash", "inf", "wide", "narrow",
+            "no-rows", "long-line", "quoted-lf", "quoted-cr", "quoted-comma",
             "quoted-nan"])
     def test_declines_what_it_must_not_read(self, tmp_path, text):
         assert data._bulk_rows(_toy(tmp_path, text), 1, 2) is None

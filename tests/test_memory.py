@@ -6,9 +6,11 @@ allocator's history, so it can be pinned. Each bound is stated relative to
 the arrays the call must hold, and lies 5% above that ratio as measured at
 commit 7ac93b3, before the whole-table column summaries, or for the
 benchmark replicate at the commit after afeb831, which made the grid write
-of `_solve_path` per round.
+of `_solve_path` per round, or for CSV ingest at the commit after 63d4dd2,
+which made the bulk pass split the whole file at once.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,11 @@ SUMMARIES_PEAK_PER_TABLE_BYTE = 1.276
 # five folds and full data, traced as one stack. The chunked gather write
 # before it held 1,188,163 bytes (3.438 times), which this bound refuses.
 REPLICATE_PEAK_PER_STACK_BYTE = 2.249
+# reading a 20,000 x 10 CSV (4,418,342 bytes) held 9,684,896 bytes, 2.192
+# times the file: the file's bytes and its split lines, both held at once.
+# The streaming bulk pass before it held 3,987,715 bytes (0.903 times); a
+# joined copy of the body on top of the lines would break this bound.
+CSV_READ_PEAK_PER_FILE_BYTE = 2.192
 
 
 def _ar1_table(seed, n, p, rho=0.5, rate=0.05):
@@ -78,3 +85,10 @@ def test_replicate_peak():
     held = stack * (p * p + n_lambda * p) * 8
     peak = _peak(lambda: _replicate_records(task))
     assert peak <= 1.05 * REPLICATE_PEAK_PER_STACK_BYTE * held
+
+
+def test_tall_csv_read_peak(tmp_path):
+    path = tmp_path / "tall.csv"
+    _ar1_table(1, 20_000, 10).to_csv(path)
+    peak = _peak(lambda: DataMatrix.from_csv(path, "y"))
+    assert peak <= 1.05 * CSV_READ_PEAK_PER_FILE_BYTE * os.path.getsize(path)
