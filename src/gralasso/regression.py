@@ -216,17 +216,13 @@ def adaptive_weights(beta_init, exclusion_eps: float = 1e-10,
                      source: str = "direct-inverse") -> AdaptiveWeights:
     """Weights 1/|beta_init_j|; magnitudes at or below `exclusion_eps` get an
     infinite weight, excluding the predictor at every lambda."""
-    _check_eps(exclusion_eps)
+    if not exclusion_eps >= 0.0:
+        raise ValueError("exclusion_eps must be nonnegative")
     mag = np.abs(np.asarray(beta_init, dtype=float))
     w = np.full(mag.shape, np.inf)
     keep = mag > exclusion_eps
     w[keep] = 1.0 / mag[keep]
     return AdaptiveWeights(w, source)
-
-
-def _check_eps(exclusion_eps):
-    if not exclusion_eps >= 0.0:
-        raise ValueError("exclusion_eps must be nonnegative")
 
 
 def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
@@ -610,8 +606,8 @@ class _Plan:
         return self.scores.shape[0]
 
 
-def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
-             n_lambda, lambda_ratio, folds, rule, seed, fixed_lambda) -> _Plan:
+def _prepare(Z, cache=None, *, estimator, weights, kappa, n_lambda,
+             lambda_ratio, folds, rule, seed, fixed_lambda) -> _Plan:
     """The first stage of `fit_gr_alasso`: check the options, then build the
     fit's `_Plan`. The options and their defaults are `fit_gr_alasso`'s.
 
@@ -636,7 +632,6 @@ def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
     n, p = Z.n, Z.p
     low_dim = p < n / 2
     ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
-    _check_eps(exclusion_eps)
     _check_grid_shape(n_lambda, ratio)
     _check_folds(folds, n)
 
@@ -661,7 +656,7 @@ def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
         if mode == "direct":
             try:
                 wobj = adaptive_weights(initial_estimate_direct(R),
-                                        exclusion_eps, "direct-inverse")
+                                        source="direct-inverse")
             except ValueError:
                 # an ill-conditioned predictor block (a duplicated predictor,
                 # say): "auto" falls back to the ridge estimate
@@ -672,7 +667,7 @@ def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
             kap = (_ridge_kappa_by_cv(scores, *fold_stack())
                    if kappa == "cv" else float(kappa))
             beta_init = initial_estimate_ridge(R, kap)
-            wobj = adaptive_weights(beta_init, exclusion_eps, f"ridge(kappa={kap:g})")
+            wobj = adaptive_weights(beta_init, source=f"ridge(kappa={kap:g})")
 
     if fixed_lambda is None:
         grid = lambda_grid(R.xx, R.xy, wobj, n, n_lambda=n_lambda, ratio=ratio)
@@ -686,15 +681,16 @@ def _prepare(Z, cache=None, *, estimator, weights, kappa, exclusion_eps,
                  weights=wobj, grid=grid, grams=grams, cs=cs, blocks=blocks)
 
 
-def _trace(plans, tol: float = 1e-7):
+def _trace(plans):
     """The second stage: the path problems of `plans` (one table size, grids
-    of one length) traced as one lockstep stack by `_solve_path`, each
-    problem with its own plan's weights and grid. Returns each plan's rows
-    of (coefficients, pieces, certified), in order."""
+    of one length) traced as one lockstep stack by `_solve_path` at
+    fit_path's tolerance, each problem with its own plan's weights and
+    grid. Returns each plan's rows of (coefficients, pieces, certified), in
+    order."""
     parts = [(plan.grams, plan.cs, _rows(plan.weights.weights, len(plan.cs)),
               _rows(plan.grid, len(plan.cs))) for plan in plans]
     stack = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    out = _solve_path(*stack, plans[0].n, tol)
+    out = _solve_path(*stack, plans[0].n, 1e-7)
     cuts = np.cumsum([len(plan.cs) for plan in plans])[:-1]
     return list(zip(*(np.split(a, cuts) for a in out)))
 
@@ -723,9 +719,8 @@ def _finish(plan, coefs, pieces, conv) -> SelectionFit:
 
 
 def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
-                  kappa=0.1, exclusion_eps: float = 1e-10,
-                  n_lambda: int = 100, lambda_ratio=None, folds: int = 5,
-                  rule: str = "1se", seed: int = 0,
+                  kappa=0.1, n_lambda: int = 100, lambda_ratio=None,
+                  folds: int = 5, rule: str = "1se", seed: int = 0,
                   fixed_lambda=None) -> SelectionFit:
     """Fit the full selection pipeline on a response-first data table.
 
@@ -746,8 +741,7 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     before any work, also those that the chosen mode leaves unused.
     """
     return _fit_stack(Z, [dict(
-        estimator=estimator, weights=weights, kappa=kappa,
-        exclusion_eps=exclusion_eps, n_lambda=n_lambda,
+        estimator=estimator, weights=weights, kappa=kappa, n_lambda=n_lambda,
         lambda_ratio=lambda_ratio, folds=folds, rule=rule, seed=seed,
         fixed_lambda=fixed_lambda)])[0][0]
 

@@ -99,8 +99,9 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("rate must lie in [0, 1)")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be nonnegative")
+        if not 0.0 <= self.magnitude < np.inf:
+            raise ValueError("magnitude must be nonnegative and finite, "
+                             f"got {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,9 @@ def mix_seed(*parts) -> int:
 def _cell_key(e: float, gamma: float) -> tuple:
     # e rounded to 1e-3 and gamma to 0.1: cells that round alike share
     # replicate seeds, which run_grid rejects
+    if np.isinf(gamma * 10):
+        raise ValueError(f"magnitude {gamma!r} is too large for a replicate "
+                         "seed")
     return round(e * 1000), round(gamma * 10)
 
 

@@ -480,6 +480,18 @@ class TestBenchmark:
         assert f"{name} repeats a value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "magnitude must be nonnegative and finite, got inf"),
+        ("nan", "magnitude must be nonnegative and finite, got nan"),
+        ("1e308", "magnitude 1e+308 is too large for a replicate seed")])
+    def test_unusable_magnitude_is_usage_error(self, tmp_path, capsys, value,
+                                               message):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), "--replicates",
+                     "1", "--gamma-list", f"2,{value}"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_are_a_usage_error(self, tmp_path, capsys,
                                                  threads):

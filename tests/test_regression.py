@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 from unittest import mock
@@ -1286,8 +1287,6 @@ class TestFitGrAlasso:
         ({"n_lambda": 1, "fixed_lambda": 1.0}, "n_lambda must be at least 2"),
         ({"lambda_ratio": 2.0, "fixed_lambda": 1.0}, "ratio must be in (0, 1)"),
         ({"lambda_ratio": 0.0}, "ratio must be in (0, 1)"),
-        ({"exclusion_eps": -1.0, "weights": "unit"},
-         "exclusion_eps must be nonnegative"),
     ])
     def test_options_are_checked_before_any_work(self, kwargs, message):
         # also options the mode leaves unused; a constant column would fail
@@ -1340,17 +1339,19 @@ class TestFitGrAlasso:
                            match="lambda must be finite and nonnegative"):
             fit_gr_alasso(Z, fixed_lambda=value)
 
-    def test_fixed_lambda_with_every_predictor_excluded(self):
+    def test_fixed_lambda_with_every_predictor_excluded(self, monkeypatch):
         rng = np.random.default_rng(50)
         X = rng.standard_normal((40, 3))
         Z = DataMatrix.from_arrays(X[:, 0] + rng.standard_normal(40), X)
         # every |b0_j| is at most exclusion_eps, so every weight is +inf
-        fit = fit_gr_alasso(Z, exclusion_eps=1e6, fixed_lambda=1.0)
+        monkeypatch.setattr(regression, "adaptive_weights", functools.partial(
+            adaptive_weights, exclusion_eps=1e6))
+        fit = fit_gr_alasso(Z, fixed_lambda=1.0)
         assert not np.isfinite(fit.weights.weights).any()
         assert fit.support == () and fit.converged
         assert np.array_equal(fit.beta, np.zeros(3))
         with pytest.raises(ValueError, match="no admissible predictors"):
-            fit_gr_alasso(Z, exclusion_eps=1e6)
+            fit_gr_alasso(Z)
 
     def test_auto_weights_fall_back_to_ridge_when_direct_is_ill_conditioned(self):
         rng = np.random.default_rng(51)

@@ -37,6 +37,15 @@ class TestSeeds:
         assert mix_seed(0, 1, 2) == mix_seed(0, 1, 2)
         assert cell_seed(7, 0.05, 10.0, 3) == cell_seed(7, 0.05, 10.0, 3)
 
+    def test_cell_seeds_are_pinned(self):
+        # replicate data of existing grids must not move with the seed rule
+        assert [cell_seed(0, e, g, r) for e in (0.0, 0.1) for g in (2.0, 10.0)
+                for r in (0, 199)] == [
+            6332453339263885738, 12734512280356494200, 8987237153626290094,
+            18009898090997739906, 8171582397762466287, 4353861776836662641,
+            12624090728158111202, 9188895403211168001]
+        assert cell_seed(7, 0.05, 1e307, 3) == 8922144762475447595
+
     def test_distinct_cells_get_distinct_seeds(self):
         seeds = {cell_seed(0, e, g, r)
                  for e in (0.0, 0.02, 0.05, 0.10)
@@ -251,6 +260,12 @@ class TestRunGrid:
     @pytest.mark.parametrize("e_list, gamma_list, message", [
         ([0.05, 1.0], [2.0], "rate must lie in [0, 1)"),
         ([0.05], [2.0, -1.0], "magnitude must be nonnegative"),
+        ([0.05], [2.0, np.inf], "magnitude must be nonnegative and finite, "
+         "got inf"),
+        ([0.05], [2.0, np.nan], "magnitude must be nonnegative and finite, "
+         "got nan"),
+        ([0.05], [2.0, 1e308], "magnitude 1e+308 is too large for a "
+         "replicate seed"),
     ])
     def test_grid_values_are_checked_before_any_replicate(
             self, monkeypatch, e_list, gamma_list, message):
@@ -583,6 +598,12 @@ def _written(path, text):
      "beta_true must have length p"),
     (lambda tmp: ContaminationSpec(0.1, -1.0),
      "magnitude must be nonnegative"),
+    (lambda tmp: ContaminationSpec(0.1, np.inf),
+     "magnitude must be nonnegative and finite, got inf"),
+    (lambda tmp: ContaminationSpec(0.1, np.nan),
+     "magnitude must be nonnegative and finite, got nan"),
+    (lambda tmp: cell_seed(0, 0.1, 1e308, 0),
+     "magnitude 1e+308 is too large for a replicate seed"),
     (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], replicates=0),
      "replicates must be positive"),
     (lambda tmp: run_grid(SimDesign(n=20, p=5), [0.0], [2.0], threads=0),
@@ -591,7 +612,8 @@ def _written(path, text):
      "threads must be at least 1"),
     (lambda tmp: read_records_csv(_written(tmp / "empty.csv", "\n# seed=1\n")),
      "empty records file"),
-], ids=["n", "p", "noise-sd", "beta-length", "magnitude", "replicates",
+], ids=["n", "p", "noise-sd", "beta-length", "magnitude", "inf-magnitude",
+        "nan-magnitude", "seed-overflow", "replicates",
         "threads-zero", "threads-negative", "empty-records"])
 def test_errors_are_named(tmp_path, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
