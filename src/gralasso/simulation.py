@@ -240,53 +240,46 @@ def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
 
 
 def _replicate_records(task):
+    """The records of one replicate, one per method in the order given.
+
+    The methods are fitted as one stack (`regression._fit_stack`, whose
+    per-fit times they keep); the Pearson ones share one table stage and
+    one set of folds. Each fit is that of `fit_gr_alasso(train,
+    seed=seed, **options)`: the same bits but for the last bits of some CV
+    errors, where a fold's stacked solves were padded wider than in its own
+    fit. If the stack raises, each method is fitted alone by
+    `fit_gr_alasso`, so a failing method fails alone, timed on its own. A
+    method whose fit or metrics raise gets NaN metrics and the status
+    `failed:<exception type>`.
+    """
     design, e, gamma, r, methods, seed0, contaminate_test, fit_kwargs = task
     rs = cell_seed(seed0, e, gamma, r)
     train, _, X_test, y_test = replicate_data(
         design, e, gamma, rs, contaminate_test=contaminate_test)
+    options = [{**METHOD_OPTIONS[m], **fit_kwargs, "seed": mix_seed(rs, 7)}
+               for m in methods]
+    try:
+        fits = _fit_stack(train, options)
+    except Exception:  # noqa: BLE001 - each method is then fitted alone
+        fits = [(None, None)] * len(options)
     records = []
-    for method, (fit, elapsed) in _replicate_fits(
-            train, methods, mix_seed(rs, 7), fit_kwargs).items():
+    for method, opts, (fit, ms) in zip(methods, options, fits):
+        t0 = time.perf_counter()
         try:
-            if isinstance(fit, Exception):
-                raise fit
+            if fit is None:
+                try:
+                    fit = fit_gr_alasso(train, **opts)
+                finally:
+                    ms = (time.perf_counter() - t0) * 1000.0
             m = compute_metrics(fit.support, fit.beta, design.beta_true,
                                 X_test, y_test, fit.intercept)
-            records.append(BenchmarkRecord(e, gamma, r, method, m["tpr"],
-                                           m["fpr"], m["mse_beta"], m["mspe"],
-                                           elapsed, "ok"))
-        except Exception as exc:  # noqa: BLE001 - per-replicate isolation
-            records.append(BenchmarkRecord(e, gamma, r, method, np.nan,
-                                           np.nan, np.nan, np.nan, elapsed,
-                                           f"failed:{type(exc).__name__}"))
+            status = "ok"
+        except Exception as exc:  # noqa: BLE001 - per-method isolation
+            m = dict.fromkeys(("tpr", "fpr", "mse_beta", "mspe"), np.nan)
+            status = f"failed:{type(exc).__name__}"
+        records.append(BenchmarkRecord(e, gamma, r, method, runtime_ms=ms,
+                                       status=status, **m))
     return records
-
-
-def _replicate_fits(train, methods, seed, fit_kwargs):
-    """{method: (its fit of `train`, or the exception that stopped it,
-    milliseconds)}, each fit that of `fit_gr_alasso(train, seed=seed,
-    **options)`: the same bits but for the last bits of some CV errors,
-    where a fold's stacked solves were padded wider than in its own fit.
-
-    The methods are fitted as one stack (`regression._fit_stack`, whose
-    per-fit times they keep); the Pearson ones share one table stage and
-    one set of folds. If the stack raises, each method is fitted alone by
-    `fit_gr_alasso`, so a failing method fails alone, timed on its own.
-    """
-    options = [{**METHOD_OPTIONS[m], **fit_kwargs} for m in methods]
-    try:
-        return dict(zip(methods, _fit_stack(
-            train, [dict(seed=seed, **opts) for opts in options])))
-    except Exception:  # noqa: BLE001 - each method is then fitted alone
-        out = {}
-        for method, opts in zip(methods, options):
-            t0 = time.perf_counter()
-            try:
-                fit = fit_gr_alasso(train, seed=seed, **opts)
-            except Exception as exc:  # noqa: BLE001 - per-method isolation
-                fit = exc
-            out[method] = (fit, (time.perf_counter() - t0) * 1000.0)
-        return out
 
 
 def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
@@ -300,7 +293,8 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     `cell_seed`. Prediction error is scored on clean test data unless
     `contaminate_test` is set. Per-replicate failures are recorded
     with a failure status instead of aborting the grid. Records come back
-    sorted by (e, gamma, replicate, method) regardless of `threads`.
+    in (e, gamma, replicate) order, each replicate's methods in the order
+    given, whatever `threads` is.
     Before any replicate runs, repeated values in `e_list`, `gamma_list` or
     `methods`, cells that `ContaminationSpec` rejects and distinct cells
     that `cell_seed` would give the same seeds are rejected.
@@ -330,20 +324,15 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
                              "would share replicate seeds")
     fit_kwargs = dict(fit_kwargs or {})
-    tasks = [(design, float(e), float(g), r, methods, seed0,
-              contaminate_test, fit_kwargs)
-             for e in e_list for g in gamma_list for r in range(replicates)]
+    tasks = [(design, e, g, r, methods, seed0, contaminate_test, fit_kwargs)
+             for e, g in cells.values() for r in range(replicates)]
     workers = min(threads, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_replicate_records, tasks, chunksize=4))
     else:
         chunks = [_replicate_records(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
-    order = {m: i for i, m in enumerate(methods)}
-    records.sort(key=lambda rec: (rec.e, rec.gamma, rec.replicate,
-                                  order[rec.method]))
-    return records
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def _mean_se(values: np.ndarray):
@@ -429,26 +418,19 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     names = tuple(Z.predictor_names) + tuple(
         f"noise{k + 1}" for k in range(n_redundant)
     )
-    total = Z.p + n_redundant
-    hits_clean = np.zeros(total)
-    hits_cont = np.zeros(total)
+    hits = np.zeros((2, Z.p + n_redundant))  # clean, contaminated
     spec = ContaminationSpec(rate, magnitude)
     for r in range(replicates):
         rs = mix_seed(seed, r)
         noise = gen_design(SimDesign(n=Z.n, p=n_redundant, ar1_rho=ar1_rho,
                                      seed=mix_seed(rs, 1)))
         X_full = np.hstack([Xs, noise])
-        seed_cv = mix_seed(rs, 2)
-        clean_fit = fit_gr_alasso(
-            DataMatrix.from_arrays(y, X_full, names, Z.response_name),
-            seed=seed_cv, **fit_kwargs)
-        for j in clean_fit.support:
-            hits_clean[j] += 1
         X_cont, _ = contaminate_cells(X_full, spec, mix_seed(rs, 3))
-        cont_fit = fit_gr_alasso(
-            DataMatrix.from_arrays(y, X_cont, names, Z.response_name),
-            seed=seed_cv, **fit_kwargs)
-        for j in cont_fit.support:
-            hits_cont[j] += 1
-    return SelectionRates(columns=names, clean=hits_clean / replicates,
-                          contaminated=hits_cont / replicates)
+        for row, X in zip(hits, (X_full, X_cont)):
+            fit = fit_gr_alasso(
+                DataMatrix.from_arrays(y, X, names, Z.response_name),
+                seed=mix_seed(rs, 2), **fit_kwargs)
+            row[list(fit.support)] += 1
+    clean, contaminated = hits / replicates
+    return SelectionRates(columns=names, clean=clean,
+                          contaminated=contaminated)

@@ -406,9 +406,10 @@ class TestReplicateLockstep:
         rs = cell_seed(seed0, e, gamma, 0)
         train = replicate_data(SimDesign(), e, gamma, rs)[0]
         seed = mix_seed(rs, 7)
-        fits = simulation._replicate_fits(train, _METHODS, seed, {})
-        assert list(fits) == list(_METHODS)
-        for method, (fit, ms) in fits.items():
+        fits = regression._fit_stack(
+            train, [{**METHOD_OPTIONS[m], "seed": seed} for m in _METHODS])
+        assert len(fits) == len(_METHODS)
+        for method, (fit, ms) in zip(_METHODS, fits):
             alone = fit_gr_alasso(train, seed=seed, **METHOD_OPTIONS[method])
             assert ms > 0.0
             assert fit.support == alone.support
