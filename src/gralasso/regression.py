@@ -606,18 +606,13 @@ class _Plan:
         return self.scores.shape[0]
 
 
-def _prepare(Z, cache=None, *, estimator, weights, kappa, n_lambda,
-             lambda_ratio, folds, rule, seed, fixed_lambda) -> _Plan:
-    """The first stage of `fit_gr_alasso`: check the options, then build the
-    fit's `_Plan`. The options and their defaults are `fit_gr_alasso`'s.
-
-    `cache`, a dict, shares the table stage and the folds between plans of
-    the same table: the Pearson adaptive Lasso and the Lasso of a benchmark
-    replicate build them once.
-    """
-    Z = DataMatrix(*as_table(Z))
-    if Z.n < 10:
-        raise ValueError("need at least 10 observations")
+def _check_options(n, p, *, estimator, weights, kappa, n_lambda,
+                   lambda_ratio, folds, rule, seed, fixed_lambda):
+    """Check the options of `fit_gr_alasso` (and its defaults) against a
+    table of `n` rows and `p` predictors, before any work. Returns the
+    correlation kind of `estimator` and the lambda ratio of the grid."""
+    if n < 10:
+        raise ValueError(f"need at least 10 observations, got {n}")
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -629,11 +624,29 @@ def _prepare(Z, cache=None, *, estimator, weights, kappa, n_lambda,
         raise ValueError("lambda must be finite and nonnegative")
     if kappa != "cv" and (isinstance(kappa, str) or not 0.0 < kappa < np.inf):
         raise ValueError('kappa must be positive and finite, or "cv"')
+    if lambda_ratio is None:
+        lambda_ratio = 1e-3 if p < n / 2 else 1e-2
+    _check_grid_shape(n_lambda, lambda_ratio)
+    _check_folds(folds, n)
+    return kind, lambda_ratio
+
+
+def _prepare(Z, cache=None, *, estimator, weights, kappa, n_lambda,
+             lambda_ratio, folds, rule, seed, fixed_lambda) -> _Plan:
+    """The first stage of `fit_gr_alasso`: check the options, then build the
+    fit's `_Plan`. The options and their defaults are `fit_gr_alasso`'s.
+
+    `cache`, a dict, shares the table stage and the folds between plans of
+    the same table: the Pearson adaptive Lasso and the Lasso of a benchmark
+    replicate build them once.
+    """
+    Z = DataMatrix(*as_table(Z))
+    kind, ratio = _check_options(
+        Z.n, Z.p, estimator=estimator, weights=weights, kappa=kappa,
+        n_lambda=n_lambda, lambda_ratio=lambda_ratio, folds=folds, rule=rule,
+        fixed_lambda=fixed_lambda)
     n, p = Z.n, Z.p
     low_dim = p < n / 2
-    ratio = lambda_ratio if lambda_ratio is not None else (1e-3 if low_dim else 1e-2)
-    _check_grid_shape(n_lambda, ratio)
-    _check_folds(folds, n)
 
     cache = {} if cache is None else cache
     if kind not in cache:
@@ -770,5 +783,7 @@ def _fit_stack(Z, option_sets):
     return fits
 
 
-# one set of option defaults: `_prepare` takes `fit_gr_alasso`'s
+# one set of option defaults: `_check_options` and `_prepare` take
+# `fit_gr_alasso`'s
+_check_options.__kwdefaults__ = dict(fit_gr_alasso.__kwdefaults__)
 _prepare.__kwdefaults__ = dict(fit_gr_alasso.__kwdefaults__)

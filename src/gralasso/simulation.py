@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import DataMatrix, write_csv
-from .regression import _fit_stack, column_summaries, fit_gr_alasso
+from .regression import (_check_options, _fit_stack, column_summaries,
+                         fit_gr_alasso)
 
 __all__ = [
     "SimDesign",
@@ -47,11 +48,12 @@ AGGREGATE_FIELDS = ("e", "gamma", "method", "n_ok",
                     "tpr_mean", "tpr_se", "fpr_mean", "fpr_se",
                     "mse_beta_mean", "mse_beta_se", "mspe_mean", "mspe_se")
 
-# Estimator/weight combinations fitted in-process. Competitor methods enter
+# What each in-process method is: its estimator, and unit weights for the
+# Lasso. These win over `run_grid`'s fit_kwargs. Competitor methods enter
 # only through result CSVs with the RECORD_FIELDS schema.
 METHOD_OPTIONS = {
-    "gr-alasso": {"estimator": "gr", "weights": "auto"},
-    "alasso": {"estimator": "pearson", "weights": "auto"},
+    "gr-alasso": {"estimator": "gr"},
+    "alasso": {"estimator": "pearson"},
     "lasso": {"estimator": "pearson", "weights": "unit"},
 }
 
@@ -242,21 +244,22 @@ def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
 def _replicate_records(task):
     """The records of one replicate, one per method in the order given.
 
-    The methods are fitted as one stack (`regression._fit_stack`, whose
-    per-fit times they keep); the Pearson ones share one table stage and
-    one set of folds. Each fit is that of `fit_gr_alasso(train,
-    seed=seed, **options)`: the same bits but for the last bits of some CV
-    errors, where a fold's stacked solves were padded wider than in its own
-    fit. If the stack raises, each method is fitted alone by
-    `fit_gr_alasso`, so a failing method fails alone, timed on its own. A
-    method whose fit or metrics raise gets NaN metrics and the status
-    `failed:<exception type>`.
+    A method's options are `fit_kwargs` with its `METHOD_OPTIONS` on top
+    and the replicate's CV seed; `run_grid` has checked them. The methods
+    are fitted as one stack (`regression._fit_stack`, whose per-fit times
+    they keep); the Pearson ones share one table stage and one set of
+    folds. Each fit is that of `fit_gr_alasso(train, **options)`: the same
+    bits but for the last bits of some CV errors, where a fold's stacked
+    solves were padded wider than in its own fit. If the stack raises, each
+    method is fitted alone by `fit_gr_alasso`, so a failing method fails
+    alone, timed on its own. A method whose fit or metrics raise gets NaN
+    metrics and the status `failed:<exception type>`.
     """
     design, e, gamma, r, methods, seed0, contaminate_test, fit_kwargs = task
     rs = cell_seed(seed0, e, gamma, r)
     train, _, X_test, y_test = replicate_data(
         design, e, gamma, rs, contaminate_test=contaminate_test)
-    options = [{**METHOD_OPTIONS[m], **fit_kwargs, "seed": mix_seed(rs, 7)}
+    options = [{**fit_kwargs, **METHOD_OPTIONS[m], "seed": mix_seed(rs, 7)}
                for m in methods]
     try:
         fits = _fit_stack(train, options)
@@ -295,9 +298,15 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     with a failure status instead of aborting the grid. Records come back
     in (e, gamma, replicate) order, each replicate's methods in the order
     given, whatever `threads` is.
-    Before any replicate runs, repeated values in `e_list`, `gamma_list` or
-    `methods`, cells that `ContaminationSpec` rejects and distinct cells
-    that `cell_seed` would give the same seeds are rejected.
+    `fit_kwargs` are `fit_gr_alasso` options for every method. A method's
+    name fixes its estimator (and unit weights for "lasso"), and each
+    replicate derives its CV seed, so `estimator`, `seed`, `weights="unit"`
+    and keys that are not `fit_gr_alasso` options are rejected; `weights`
+    reaches the adaptive methods only. Before any replicate runs, repeated
+    values in `e_list`, `gamma_list` or `methods`, cells that
+    `ContaminationSpec` rejects, distinct cells that `cell_seed` would give
+    the same seeds and fit options that a table of `design`'s shape fails
+    are rejected.
     """
     methods = tuple(methods)
     if "gr-alasso" not in methods:
@@ -324,6 +333,17 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
                              "would share replicate seeds")
     fit_kwargs = dict(fit_kwargs or {})
+    for key, value in fit_kwargs.items():
+        if key not in _check_options.__kwdefaults__:
+            raise ValueError(f"{key!r} in fit_kwargs is not a fit_gr_alasso "
+                             "option")
+        if key in ("estimator", "seed") or (key == "weights" and value == "unit"):
+            raise ValueError(f"fit_kwargs cannot set {key}={value!r}: a "
+                             "method's name fixes its estimator and unit "
+                             "weights, a replicate its seed")
+    for m in methods:
+        _check_options(design.n, design.p,
+                       **{**fit_kwargs, **METHOD_OPTIONS[m]})
     tasks = [(design, e, g, r, methods, seed0, contaminate_test, fit_kwargs)
              for e, g in cells.values() for r in range(replicates)]
     workers = min(threads, len(tasks))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gralasso
+from gralasso import regression
 from gralasso.cli import build_parser, main
 from gralasso.covariance import gaussian_rank_corr_matrix, spearman_corr_matrix
 from gralasso.data import DataMatrix
@@ -492,6 +493,15 @@ class TestBenchmark:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_rows_is_a_usage_error(self, tmp_path, capsys):
+        # checked before any replicate, so no fit runs and nothing is written
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), "--n", "5",
+                     "--p", "3", "--replicates", "1"]) == 2
+        assert "need at least 10 observations, got 5" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_are_a_usage_error(self, tmp_path, capsys,
                                                  threads):
@@ -512,13 +522,20 @@ class TestBenchmark:
             (par / "aggregate.csv").read_bytes()
 
 
-# eight rows are too few for any fit, so every replicate fails
-_FAILING_BENCHMARK = ["benchmark", "--n", "8", "--p", "3", "--replicates", "2",
-                      "--e-list", "0", "--gamma-list", "2"]
+# outliers of magnitude 1e200 overflow the Pearson column summaries
+# ("non-finite summary"), so two of the three methods fail every replicate
+_FAILING_BENCHMARK = ["benchmark", "--n", "20", "--p", "3", "--replicates",
+                      "2", "--e-list", "0.5", "--gamma-list", "1e200"]
 
 
 class TestFailingBenchmark:
-    def test_records_aggregate_and_exit_code(self, tmp_path, capsys):
+    def test_records_aggregate_and_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the Gaussian-rank summaries fail as well, so every fit fails
+        def summaries(Z, estimator="gr"):
+            raise ValueError("no summaries")
+
+        monkeypatch.setattr(regression, "column_summaries", summaries)
         out = tmp_path / "bench"
         assert main(_FAILING_BENCHMARK + ["--output-dir", str(out)]) == 3
         assert "more than 10% of replicate fits failed" in \

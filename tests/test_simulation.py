@@ -275,6 +275,62 @@ class TestRunGrid:
             run_grid(SimDesign(n=30, p=5), e_list, gamma_list, replicates=3)
         assert spy.call_count == 0
 
+    @pytest.mark.parametrize("fit_kwargs, message", [
+        ({"estimator": "pearson"}, "cannot set estimator='pearson'"),
+        ({"seed": 3}, "cannot set seed=3"),
+        ({"weights": "unit"}, "cannot set weights='unit'"),
+        ({"kappa": 0.5, "alpha": 1.0},
+         "'alpha' in fit_kwargs is not a fit_gr_alasso option"),
+    ])
+    def test_fit_kwargs_cannot_change_a_method(self, monkeypatch, fit_kwargs,
+                                               message):
+        spy = mock.Mock(wraps=simulation._replicate_records)
+        monkeypatch.setattr(simulation, "_replicate_records", spy)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(SimDesign(n=30, p=5), [0.05], [2.0], replicates=2,
+                     methods=_METHODS, fit_kwargs=fit_kwargs)
+        assert spy.call_count == 0
+
+    def test_weights_reach_the_adaptive_methods_only(self, monkeypatch):
+        spy = mock.Mock(wraps=simulation._fit_stack)
+        monkeypatch.setattr(simulation, "_fit_stack", spy)
+        recs = run_grid(SimDesign(n=30, p=5), [0.05], [2.0], replicates=1,
+                        methods=_METHODS, fit_kwargs={"weights": "ridge"})
+        assert [r.status for r in recs] == ["ok"] * 3
+        options = spy.call_args.args[1]
+        assert [(o["estimator"], o["weights"]) for o in options] == [
+            ("gr", "ridge"), ("pearson", "ridge"), ("pearson", "unit")]
+
+    @pytest.mark.parametrize("design, fit_kwargs, message", [
+        (SimDesign(n=5, p=3), {}, "need at least 10 observations, got 5"),
+        (SimDesign(n=30, p=5), {"folds": 1}, "folds must be at least 2"),
+        (SimDesign(n=12, p=3), {"folds": 13},
+         "need at least as many rows as folds"),
+        (SimDesign(n=30, p=5), {"rule": "max"}, "unknown selection rule"),
+        (SimDesign(n=30, p=5), {"weights": "ols"}, "unknown weights mode"),
+        (SimDesign(n=30, p=5), {"kappa": 0.0}, "kappa must be positive"),
+        (SimDesign(n=30, p=5), {"n_lambda": 1}, "n_lambda must be at least 2"),
+        (SimDesign(n=30, p=5), {"fixed_lambda": -1.0},
+         "lambda must be finite and nonnegative"),
+    ])
+    def test_fit_options_are_checked_before_any_replicate(
+            self, monkeypatch, design, fit_kwargs, message):
+        spy = mock.Mock(wraps=simulation._replicate_records)
+        monkeypatch.setattr(simulation, "_replicate_records", spy)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(design, [0.05], [2.0], replicates=2, methods=_METHODS,
+                     fit_kwargs=fit_kwargs)
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_come_in_grid_then_method_order(self, threads):
+        recs = run_grid(SimDesign(n=30, p=5), [0.1, 0.0], [4.0, 2.0],
+                        replicates=2, methods=("lasso", "gr-alasso"),
+                        seed0=8, threads=threads)
+        assert [(r.e, r.gamma, r.replicate, r.method) for r in recs] == [
+            (e, g, r, m) for e in (0.0, 0.1) for g in (2.0, 4.0)
+            for r in (0, 1) for m in ("lasso", "gr-alasso")]
+
     @pytest.mark.parametrize("threads, replicates, pool_workers", [
         (64, 2, 2), (2, 3, 2), (8, 1, None)])
     def test_workers_are_capped_at_the_task_count(
