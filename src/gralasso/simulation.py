@@ -296,8 +296,8 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
     `cell_seed`. Prediction error is scored on clean test data unless
     `contaminate_test` is set. Per-replicate failures are recorded
     with a failure status instead of aborting the grid. Records come back
-    in (e, gamma, replicate) order, each replicate's methods in the order
-    given, whatever `threads` is.
+    in ascending (e, gamma, replicate) order, each replicate's methods in
+    the order given, whatever `threads` is.
     `fit_kwargs` are `fit_gr_alasso` options for every method. A method's
     name fixes its estimator (and unit weights for "lasso"), and each
     replicate derives its CV seed, so `estimator`, `seed`, `weights="unit"`
