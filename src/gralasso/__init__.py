@@ -23,7 +23,6 @@ from .covariance import (
     gaussian_rank_corr_matrix,
     pearson_corr_matrix,
     score_matrix,
-    spearman_corr_matrix,
     sqrt_factorize,
 )
 from .regression import (
@@ -41,7 +40,6 @@ from .regression import (
     initial_estimate_ridge,
     lambda_grid,
     marginal_gr_correlations,
-    penalized_objective,
     screen_top_k,
 )
 from .simulation import (
@@ -76,7 +74,6 @@ __all__ = [
     "gaussian_rank_corr_matrix",
     "pearson_corr_matrix",
     "score_matrix",
-    "spearman_corr_matrix",
     "sqrt_factorize",
     "AdaptiveWeights",
     "CvCurve",
@@ -92,7 +89,6 @@ __all__ = [
     "initial_estimate_ridge",
     "lambda_grid",
     "marginal_gr_correlations",
-    "penalized_objective",
     "screen_top_k",
     "BenchmarkRecord",
     "ContaminationSpec",

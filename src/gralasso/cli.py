@@ -90,7 +90,7 @@ def build_parser():
     _twin(fit, "--response", "y", help="response column name")
     _twin(fit, "--output-dir", "gralasso_fit")
     _twin(fit, "--estimator", _FIT["estimator"],
-          choices=("gr", "spearman", "pearson"))
+          choices=("gr", "pearson"))
     _twin(fit, "--weights", _FIT["weights"],
           choices=("auto", "direct", "ridge", "unit"))
     _twin(fit, "--kappa", _FIT["kappa"], type=_kappa_value,

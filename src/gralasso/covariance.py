@@ -22,7 +22,6 @@ __all__ = [
     "score_matrix",
     "pearson_corr_matrix",
     "gaussian_rank_corr_matrix",
-    "spearman_corr_matrix",
     "assemble_covariance",
     "sqrt_factorize",
 ]
@@ -87,11 +86,10 @@ class CovarianceModel(_Partitions):
 def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
     """Columnwise pseudo-data transform.
 
-    "gaussian-rank" maps each column to its normal scores, "spearman" to its
-    centred mid-ranks, and "pearson" to (x - mean) / sd. Pearson correlation
-    of the result equals the corresponding correlation estimator of the
-    input, and every kind is (near-)mean-zero so pseudo-data residuals carry
-    no constant offset.
+    "gaussian-rank" maps each column to its normal scores and "pearson" to
+    (x - mean) / sd. Pearson correlation of the result equals the
+    corresponding correlation estimator of the input, and both kinds are
+    (near-)mean-zero so pseudo-data residuals carry no constant offset.
     """
     values, names = as_table(Z)
     n = values.shape[0]
@@ -101,16 +99,12 @@ def score_matrix(Z, kind: str = "gaussian-rank") -> np.ndarray:
         if bad.size:
             raise ValueError(f"zero-variance column {names[bad[0]]!r}")
         return (values - values.mean(axis=0)) / sd
-    if kind not in ("gaussian-rank", "spearman"):
+    if kind != "gaussian-rank":
         raise ValueError(f"unknown score kind {kind!r}")
     tied = np.flatnonzero((values == values[0]).all(axis=0))
     if tied.size:
         raise ValueError(f"degenerate column {names[tied[0]]!r}: all values tied")
-    r = _midranks(values)
-    if kind == "gaussian-rank":
-        return _midrank_scores(r)
-    r -= 0.5 * (n + 1)
-    return r
+    return _midrank_scores(_midranks(values))
 
 
 def _pearson_of_values(values: np.ndarray, names=None) -> np.ndarray:
@@ -136,26 +130,17 @@ def pearson_corr_matrix(Z) -> CorrelationMatrix:
     return CorrelationMatrix(_pearson_of_values(values, names), "pearson", names)
 
 
-def _rank_corr_matrix(Z, kind: str) -> CorrelationMatrix:
-    values, names = as_table(Z)
-    if values.shape[0] < 3:
-        raise ValueError("need at least three observations")
-    scores = score_matrix(Z, kind)
-    return CorrelationMatrix(_pearson_of_values(scores, names), kind, names)
-
-
 def gaussian_rank_corr_matrix(Z) -> CorrelationMatrix:
     """Pearson correlation of the columnwise normal scores.
 
     Positive semi-definite by construction and invariant under strictly
     monotone transforms of each column.
     """
-    return _rank_corr_matrix(Z, "gaussian-rank")
-
-
-def spearman_corr_matrix(Z) -> CorrelationMatrix:
-    """Pearson correlation of the columnwise mid-ranks."""
-    return _rank_corr_matrix(Z, "spearman")
+    values, names = as_table(Z)
+    if values.shape[0] < 3:
+        raise ValueError("need at least three observations")
+    R = _pearson_of_values(score_matrix(Z, "gaussian-rank"), names)
+    return CorrelationMatrix(R, "gaussian-rank", names)
 
 
 def assemble_covariance(R: CorrelationMatrix, scales) -> CovarianceModel:

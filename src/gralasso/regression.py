@@ -47,7 +47,6 @@ __all__ = [
     "initial_estimate_ridge",
     "adaptive_weights",
     "lambda_grid",
-    "penalized_objective",
     "fit_path",
     "cross_validate",
     "destandardize",
@@ -56,12 +55,7 @@ __all__ = [
     "fit_gr_alasso",
 ]
 
-_ESTIMATOR_KINDS = {
-    "gr": "gaussian-rank",
-    "gaussian-rank": "gaussian-rank",
-    "spearman": "spearman",
-    "pearson": "pearson",
-}
+_ESTIMATOR_KINDS = {"gr": "gaussian-rank", "pearson": "pearson"}
 
 
 @dataclass(frozen=True)
@@ -155,12 +149,13 @@ def _weight_vector(w) -> np.ndarray:
 def column_summaries(Z, estimator: str = "gr"):
     """(locations, scales) of the columns as float arrays, response first.
 
-    Robust estimators use median and Qn; the Pearson baseline uses mean and
-    standard deviation, matching its own standardisation convention. Both
-    are taken over the whole table: up to n = 200 rows the transposed table
-    is sorted once, each median is read off its middle columns and each Qn
-    off its rows (`robust_stats._robust_summaries`); the Pearson arrays are
-    np.mean and np.std(ddof=1) of the columns.
+    The Gaussian-rank estimator ("gr") uses median and Qn; the Pearson
+    baseline uses mean and standard deviation, matching its own
+    standardisation convention. Both are taken over the whole table: up to
+    n = 200 rows the transposed table is sorted once, each median is read
+    off its middle columns and each Qn off its rows
+    (`robust_stats._robust_summaries`); the Pearson arrays are np.mean and
+    np.std(ddof=1) of the columns.
     """
     kind = _ESTIMATOR_KINDS.get(estimator)
     if kind is None:
@@ -397,17 +392,6 @@ def _write_pieces(rounds, grid, p):
         coefs[live[r, None], i[:, None], idx[r]] = (
             uv[r, :, 0] - lams[r, i, None] * uv[r, :, 1])
     return coefs, pieces
-
-
-def penalized_objective(gram, c, w, lam: float, n: int, b) -> float:
-    """Objective value n b'Gb - 2n b'c + lambda sum w_j |b_j|."""
-    b = np.asarray(b, dtype=float)
-    wv = _weight_vector(w)
-    quad = float(n * b @ np.asarray(gram, dtype=float) @ b - 2.0 * n * b @ np.asarray(c, dtype=float))
-    act = b != 0.0
-    if np.any(~np.isfinite(wv[act])):
-        return np.inf
-    return quad + float(lam * np.sum(wv[act] * np.abs(b[act])))
 
 
 def _lasso_path(grid, coefs, pieces, conv) -> LassoPath:
@@ -743,8 +727,9 @@ def fit_gr_alasso(Z, *, estimator: str = "gr", weights: str = "auto",
     path (traced in lockstep) -> coefficients at the chosen lambda ->
     original units.
 
-    `estimator` selects the correlation plug-in ("gr", "spearman" or
-    "pearson"); `weights` one of "auto", "direct", "ridge" or "unit" (plain
+    `estimator` selects the correlation plug-in: "gr", the Gaussian rank
+    correlation with median/Qn summaries, or "pearson", the nonrobust
+    baseline. `weights` is one of "auto", "direct", "ridge" or "unit" (plain
     Lasso). `kappa` is the ridge penalty for the initial estimate, or "cv"
     to pick it from a log grid by the same pseudo-data cross-validation.
     `fixed_lambda` skips the grid and CV and solves at the given penalty

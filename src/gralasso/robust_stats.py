@@ -1,11 +1,12 @@
 """Univariate robust estimators: median, Qn scale, ranks and normal scores.
 
-These are the column-level building blocks behind the rank-based correlation
-estimators. `_robust_summaries`, `_medians` and `_qn_of_sorted` work on
-whole tables, one column per row of the sorted transpose; `median`,
-`qn_scale` and `robust_summary` are their calls on a one-column table. The
-public functions validate their input (no NaN or infinite entries); all are
-pure, so concurrent use needs no locking.
+These are the column-level building blocks behind the Gaussian-rank
+correlation and the robust column summaries (median and Qn).
+`_robust_summaries`, `_medians` and `_qn_of_sorted` work on whole tables,
+one column per row of the sorted transpose; `median`, `qn_scale` and
+`robust_summary` are their calls on a one-column table. The public
+functions validate their input (no NaN or infinite entries); all are pure,
+so concurrent use needs no locking.
 """
 
 import math

@@ -285,6 +285,25 @@ def _replicate_records(task):
     return records
 
 
+def _checked_fit_kwargs(fit_kwargs, n, p, methods=()):
+    """`fit_kwargs` as a new dict, checked before any fit on an n x p table,
+    alone or under the `METHOD_OPTIONS` of each of `methods`, whose names
+    fix their estimator and unit weights; each replicate derives its seed."""
+    fit_kwargs = dict(fit_kwargs or {})
+    for key, value in fit_kwargs.items():
+        if key not in _check_options.__kwdefaults__:
+            raise ValueError(f"{key!r} in fit_kwargs is not a fit_gr_alasso "
+                             "option")
+        by_name = key == "estimator" or (key, value) == ("weights", "unit")
+        if key == "seed" or (methods and by_name):
+            raise ValueError(f"fit_kwargs cannot set {key}={value!r}: each "
+                             "replicate derives its seed, and a method's "
+                             "name fixes its estimator and unit weights")
+    for options in [METHOD_OPTIONS[m] for m in methods] or [{}]:
+        _check_options(n, p, **{**fit_kwargs, **options})
+    return fit_kwargs
+
+
 def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
              methods=("gr-alasso",), seed0: int = 0,
              contaminate_test: bool = False, threads: int = 1,
@@ -332,18 +351,7 @@ def run_grid(design: SimDesign, e_list, gamma_list, replicates: int = 200,
         if other != cell:
             raise ValueError(f"grid cells (e, gamma) = {other} and {cell} "
                              "would share replicate seeds")
-    fit_kwargs = dict(fit_kwargs or {})
-    for key, value in fit_kwargs.items():
-        if key not in _check_options.__kwdefaults__:
-            raise ValueError(f"{key!r} in fit_kwargs is not a fit_gr_alasso "
-                             "option")
-        if key in ("estimator", "seed") or (key == "weights" and value == "unit"):
-            raise ValueError(f"fit_kwargs cannot set {key}={value!r}: a "
-                             "method's name fixes its estimator and unit "
-                             "weights, a replicate its seed")
-    for m in methods:
-        _check_options(design.n, design.p,
-                       **{**fit_kwargs, **METHOD_OPTIONS[m]})
+    fit_kwargs = _checked_fit_kwargs(fit_kwargs, design.n, design.p, methods)
     tasks = [(design, e, g, r, methods, seed0, contaminate_test, fit_kwargs)
              for e, g in cells.values() for r in range(replicates)]
     workers = min(threads, len(tasks))
@@ -428,10 +436,10 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     appends `n_redundant` fresh AR(1) noise predictors and fits twice: on
     the clean table and on a copy with `rate` of all predictor cells
     replaced by N(+-magnitude, 1) draws. Returns per-variable selection
-    rates for both scenarios.
+    rates for both scenarios. `fit_kwargs` (not `seed`) go to every fit and
+    are checked against the fitted tables' shape before any fit.
     """
-    fit_kwargs = dict(fit_kwargs or {})
-    fit_kwargs.setdefault("estimator", "gr")
+    fit_kwargs = _checked_fit_kwargs(fit_kwargs, Z.n, Z.p + n_redundant)
     y = Z.y
     med, scale = column_summaries(Z)
     Xs = (Z.X - med[1:]) / scale[1:]

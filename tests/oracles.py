@@ -61,14 +61,6 @@ def naive_midranks(x):
     return np.asarray(out)
 
 
-def pearson_scalar(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    return float((ac @ bc) / math.sqrt((ac @ ac) * (bc @ bc)))
-
-
 def ols_fit(X, y):
     """Ordinary least squares with intercept by brute-force normal
     equations; returns (slopes, intercept)."""
@@ -197,12 +189,10 @@ def score_matrix_by_column(values, names, kind, quantile):
     out = np.empty_like(values)
     for j in range(values.shape[1]):
         col = values[:, j]
-        if kind in ("gaussian-rank", "spearman") and np.all(col == col[0]):
+        if kind == "gaussian-rank" and np.all(col == col[0]):
             raise ValueError(f"degenerate column {names[j]!r}: all values tied")
         if kind == "gaussian-rank":
             out[:, j] = quantile(midranks_by_unique(col) / (n + 1))
-        elif kind == "spearman":
-            out[:, j] = midranks_by_unique(col) - 0.5 * (n + 1)
         elif kind == "pearson":
             sd = float(np.std(col, ddof=1)) if n > 1 else 0.0
             if sd <= 0.0:

@@ -11,7 +11,7 @@ import pytest
 import gralasso
 from gralasso import regression
 from gralasso.cli import build_parser, main
-from gralasso.covariance import gaussian_rank_corr_matrix, spearman_corr_matrix
+from gralasso.covariance import gaussian_rank_corr_matrix
 from gralasso.data import DataMatrix
 from gralasso.regression import fit_gr_alasso, marginal_gr_correlations
 from gralasso.simulation import (
@@ -238,8 +238,12 @@ class TestFit:
 
     def test_exports_are_the_fit_correlation(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=6)
-        for estimator, corr_func in (("gr", gaussian_rank_corr_matrix),
-                                     ("spearman", spearman_corr_matrix)):
+        # the Pearson fit correlates the standardised columns, so its export
+        # is the fit's matrix, not `pearson_corr_matrix` of the raw columns
+        for estimator, corr_func in (
+                ("gr", gaussian_rank_corr_matrix),
+                ("pearson", lambda Z: fit_gr_alasso(
+                    Z, estimator="pearson").correlation)):
             out = tmp_path / estimator
             assert main(["fit", "--input", str(path), "--response", "y",
                          "--output-dir", str(out), "--estimator", estimator,
@@ -248,6 +252,31 @@ class TestFit:
             corr = np.array([[float(v) for v in r.split(",")] for r in rows])
             expected = corr_func(DataMatrix.from_csv(path, "y")).matrix
             assert np.array_equal(corr, expected)
+
+    def test_spearman_is_not_an_estimator_choice(self, tmp_path, capsys):
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(path), "--output-dir", str(out),
+                  "--estimator", "spearman"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'spearman'" in err
+        # newer Pythons print the choices without quotes
+        choices = err.split("(choose from ")[1].split(")")[0]
+        assert choices.replace("'", "") == "gr, pearson"
+        assert not out.exists()
+
+    def test_spearman_from_the_environment_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        # argparse does not check a string default against the choices
+        path, _, _ = _fixture_csv(tmp_path)
+        out = tmp_path / "o"
+        monkeypatch.setenv("GRALASSO_ESTIMATOR", "spearman")
+        assert main(["fit", "--input", str(path),
+                     "--output-dir", str(out)]) == 2
+        assert "unknown estimator 'spearman'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_lambda_is_usage_error(self, tmp_path,

@@ -10,13 +10,12 @@ from gralasso.covariance import (
     gaussian_rank_corr_matrix,
     pearson_corr_matrix,
     score_matrix,
-    spearman_corr_matrix,
     sqrt_factorize,
 )
 from gralasso.data import DataMatrix
 from gralasso.robust_stats import std_normal_quantile
 
-from oracles import naive_midranks, pearson_scalar, score_matrix_by_column
+from oracles import score_matrix_by_column
 
 
 def _table(*cols, names=None):
@@ -112,24 +111,6 @@ class TestGaussianRank:
         gr = gaussian_rank_corr_matrix(data).matrix
         pe = pearson_corr_matrix(data).matrix
         assert np.max(np.abs(gr - pe)) <= 0.02
-
-
-class TestSpearman:
-    def test_monotone(self):
-        x = np.array([0.1, 1.5, 2.0, 5.0])
-        assert spearman_corr_matrix(_table(x, np.exp(x))).matrix[0, 1] == \
-            pytest.approx(1.0)
-
-    def test_anti_monotone(self):
-        x = np.array([0.1, 1.5, 2.0, 5.0])
-        assert spearman_corr_matrix(_table(x, -x)).matrix[0, 1] == \
-            pytest.approx(-1.0)
-
-    def test_rank_formula_oracle(self):
-        a, b = [1, 2, 3], [2, 1, 3]
-        got = spearman_corr_matrix(_table(a, b)).matrix[0, 1]
-        expected = pearson_scalar(naive_midranks(a), naive_midranks(b))
-        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestCorrelationMatrix:
@@ -298,7 +279,7 @@ class TestWholeTableScores:
     @given(_score_tables())
     def test_matches_the_per_column_loop(self, values):
         names = tuple(f"col{j}" for j in range(values.shape[1]))
-        for kind in ("gaussian-rank", "spearman", "pearson"):
+        for kind in ("gaussian-rank", "pearson"):
             try:
                 ref = score_matrix_by_column(values, names, kind,
                                              std_normal_quantile)

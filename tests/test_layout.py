@@ -63,11 +63,11 @@ def _bits(obj):
 def _results(Z):
     """Every result whose bits must not depend on the layout of Z."""
     out = {f"fit:{e}": fit_gr_alasso(Z, estimator=e)
-           for e in ("gr", "spearman", "pearson")}
+           for e in ("gr", "pearson")}
     out.update({f"summaries:{e}": column_summaries(Z, e)
                 for e in ("gr", "pearson")})
     out.update({f"scores:{k}": score_matrix(Z, k)
-                for k in ("gaussian-rank", "spearman", "pearson")})
+                for k in ("gaussian-rank", "pearson")})
     out["gr-correlation"] = gaussian_rank_corr_matrix(Z)
     return out
 

@@ -28,7 +28,6 @@ from gralasso.regression import (
     initial_estimate_ridge,
     lambda_grid,
     marginal_gr_correlations,
-    penalized_objective,
     screen_top_k,
 )
 from gralasso.robust_stats import normal_scores, robust_summary
@@ -254,22 +253,15 @@ class TestCoordinateDescent:
         rng = np.random.default_rng(26)
         gram, c, w = _random_instance(rng, 5)
         lam = 0.2 * np.max(2.0 * 30 * np.abs(c) / w)
-        prev = penalized_objective(gram, c, w, lam, 30, np.zeros(5))
+        prev = penalized_objective_naive(gram, c, w, lam, 30, np.zeros(5))
         for sweeps in range(1, 12):
             b, _, _ = cd_reference(gram, c, w, lam, 30, None, 0.0, sweeps)
-            val = penalized_objective(gram, c, w, lam, 30, b)
+            val = penalized_objective_naive(gram, c, w, lam, 30, b)
             assert val <= prev + 1e-9 * (1 + abs(prev))
             prev = val
         exact = fit_path(_Parts(gram, c), w, [lam], 30).coefficients[0]
-        best = penalized_objective(gram, c, w, lam, 30, exact)
+        best = penalized_objective_naive(gram, c, w, lam, 30, exact)
         assert best <= prev + 1e-9 * (1 + abs(prev))
-
-    def test_objective_matches_naive(self):
-        rng = np.random.default_rng(27)
-        gram, c, w = _random_instance(rng, 4)
-        b = rng.standard_normal(4)
-        assert penalized_objective(gram, c, w, 3.0, 25, b) == pytest.approx(
-            penalized_objective_naive(gram, c, w, 3.0, 25, b))
 
     def test_degenerate_predictor_variance(self):
         gram = np.diag([1.0, 0.0])
@@ -1181,7 +1173,7 @@ class TestFitGrAlasso:
 
     @pytest.mark.parametrize("n, p, kwargs", [
         (80, 8, {"seed": 3}),
-        (80, 8, {"seed": 4, "rule": "min", "estimator": "spearman"}),
+        (80, 8, {"seed": 4, "rule": "min", "estimator": "pearson"}),
         (60, 40, {"seed": 5, "weights": "ridge", "kappa": "cv"}),
         (30, 12, {"seed": 6, "weights": "unit", "folds": 3}),
     ])
@@ -1308,14 +1300,6 @@ class TestFitGrAlasso:
             tuple(int(j) for j in np.flatnonzero(b)) for b in coefs)
         assert fit.support == fit.path.supports[fit.cv.idx_1se]
 
-    def test_spearman_estimator_runs(self):
-        rng = np.random.default_rng(47)
-        X = rng.standard_normal((50, 4))
-        y = 2 * X[:, 1] + rng.standard_normal(50)
-        fit = fit_gr_alasso(DataMatrix.from_arrays(y, X),
-                            estimator="spearman", seed=0)
-        assert 1 in fit.support
-
     def test_fixed_lambda_is_a_one_point_path(self):
         rng = np.random.default_rng(48)
         X = rng.standard_normal((70, 6))
@@ -1376,6 +1360,14 @@ def _fit_table():
      "weights must be a vector"),
     (lambda: column_summaries(_fit_table(), "kendall"),
      "unknown estimator 'kendall'"),
+    (lambda: column_summaries(_fit_table(), "spearman"),
+     "unknown estimator 'spearman'"),
+    (lambda: fit_gr_alasso(_fit_table(), estimator="spearman"),
+     "unknown estimator 'spearman'"),
+    (lambda: fit_gr_alasso(_fit_table(), estimator="gaussian-rank"),
+     "unknown estimator 'gaussian-rank'"),
+    (lambda: score_matrix(_fit_table(), "spearman"),
+     "unknown score kind 'spearman'"),
     (lambda: lambda_grid(np.eye(2), [0.5, 0.3], np.ones(2), 10, n_lambda=1),
      "n_lambda must be at least 2"),
     (lambda: lambda_grid(np.eye(2), [0.5, 0.3], np.ones(2), 10, ratio=1.0),
@@ -1392,19 +1384,12 @@ def _fit_table():
      "tol must be finite and nonnegative"),
     (lambda: cross_validate(_fit_table(), np.ones(2), [1.0], tol=np.inf),
      "tol must be finite and nonnegative"),
-], ids=["weights-matrix", "estimator", "n-lambda", "ratio", "rows-folds",
+], ids=["weights-matrix", "estimator", "summaries-spearman",
+        "fit-spearman", "fit-gaussian-rank", "scores-spearman", "n-lambda", "ratio", "rows-folds",
         "rule", "tol-negative", "tol-nan", "tol-inf"])
 def test_errors_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
-
-
-def test_objective_is_infinite_with_an_active_pinned_coefficient():
-    w = np.array([1.0, np.inf])
-    assert penalized_objective(np.eye(2), [0.5, 0.3], w, 1.0, 10,
-                               [0.2, 0.0]) < np.inf
-    assert penalized_objective(np.eye(2), [0.5, 0.3], w, 1.0, 10,
-                               [0.2, 0.1]) == np.inf
 
 
 def test_uncertified_path_warns():

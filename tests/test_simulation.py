@@ -641,6 +641,34 @@ class TestStabilityProtocol:
                            match=f"zero scale for column {column!r}"):
             selection_stability_study(Z, n_redundant=1, replicates=1)
 
+    @pytest.mark.parametrize("fit_kwargs, message", [
+        ({"seed": 1}, "fit_kwargs cannot set seed=1"),
+        ({"bogus": 1}, "'bogus' in fit_kwargs is not a fit_gr_alasso option"),
+        ({"folds": 1}, "folds must be at least 2"),
+        ({"folds": 41}, "need at least as many rows as folds"),
+        ({"estimator": "spearman"}, "unknown estimator 'spearman'"),
+    ], ids=["seed", "unknown-key", "one-fold", "folds-over-rows", "spearman"])
+    def test_fit_kwargs_are_checked_before_any_fit(self, monkeypatch,
+                                                   fit_kwargs, message):
+        monkeypatch.setattr(simulation, "fit_gr_alasso",
+                            mock.Mock(side_effect=AssertionError("fitted")))
+        X = gen_design(SimDesign(n=40, p=4, seed=16))
+        Z = DataMatrix.from_arrays(X[:, 0] + X[:, 1], X)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            selection_stability_study(Z, n_redundant=2, replicates=2,
+                                      fit_kwargs=fit_kwargs)
+
+    def test_fit_kwargs_reach_every_fit(self, monkeypatch):
+        spy = mock.Mock(wraps=simulation.fit_gr_alasso)
+        monkeypatch.setattr(simulation, "fit_gr_alasso", spy)
+        X = gen_design(SimDesign(n=40, p=4, seed=16))
+        Z = DataMatrix.from_arrays(X[:, 0] + X[:, 1], X)
+        selection_stability_study(Z, n_redundant=2, replicates=2,
+                                  fit_kwargs={"estimator": "pearson"})
+        assert spy.call_count == 4
+        assert all(call.kwargs["estimator"] == "pearson"
+                   for call in spy.call_args_list)
+
 
 def _written(path, text):
     path.write_text(text)
