@@ -13,7 +13,6 @@ from .robust_stats import (
     normal_scores,
     qn_scale,
     ranks,
-    robust_summary,
     std_normal_quantile,
 )
 from .covariance import (
@@ -66,7 +65,6 @@ __all__ = [
     "normal_scores",
     "qn_scale",
     "ranks",
-    "robust_summary",
     "std_normal_quantile",
     "CorrelationMatrix",
     "CovarianceModel",

@@ -287,13 +287,14 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     design = SimDesign(n=args.n, p=args.p, ar1_rho=args.rho,
                        noise_sd=args.noise_sd)
+    # external records are read first, so a bad file fails before the grid
+    external = []
+    for path in args.external_csv:
+        external.extend(read_records_csv(path))
     records = run_grid(design, args.e_list, args.gamma_list,
                        replicates=args.replicates, methods=args.methods,
                        seed0=args.seed, contaminate_test=args.contaminate_test,
                        threads=args.threads)
-    external = []
-    for path in args.external_csv:
-        external.extend(read_records_csv(path))
 
     meta = {
         "version": __version__,

@@ -122,8 +122,6 @@ class DataMatrix:
             if arr is None:
                 arr = np.fromiter(_checked_rows(reader, header),
                                   dtype=np.dtype((float, (len(header),))))
-        if arr.shape[0] == 0:
-            raise ValueError("empty input")
         ridx = header.index(response)
         order = [ridx] + [j for j in range(len(header)) if j != ridx]
         return cls(arr[:, order], tuple(header[j] for j in order))

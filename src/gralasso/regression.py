@@ -207,15 +207,12 @@ def initial_estimate_ridge(cov, kappa: float) -> np.ndarray:
     return np.linalg.solve(gram + kappa * np.eye(gram.shape[0]), c)
 
 
-def adaptive_weights(beta_init, exclusion_eps: float = 1e-10,
-                     source: str = "direct-inverse") -> AdaptiveWeights:
-    """Weights 1/|beta_init_j|; magnitudes at or below `exclusion_eps` get an
-    infinite weight, excluding the predictor at every lambda."""
-    if not exclusion_eps >= 0.0:
-        raise ValueError("exclusion_eps must be nonnegative")
+def adaptive_weights(beta_init, source: str = "direct-inverse") -> AdaptiveWeights:
+    """Weights 1/|beta_init_j|; magnitudes at or below 1e-10 get an infinite
+    weight, excluding the predictor at every lambda."""
     mag = np.abs(np.asarray(beta_init, dtype=float))
     w = np.full(mag.shape, np.inf)
-    keep = mag > exclusion_eps
+    keep = mag > 1e-10
     w[keep] = 1.0 / mag[keep]
     return AdaptiveWeights(w, source)
 
@@ -223,7 +220,7 @@ def adaptive_weights(beta_init, exclusion_eps: float = 1e-10,
 def lambda_grid(gram, c, w, n: int, n_lambda: int = 100,
                 ratio: float = 1e-3) -> np.ndarray:
     """Descending log-spaced grid from lambda_max (smallest lambda with an
-    all-zero solution) down to lambda_max * ratio."""
+    all-zero solution; `gram` is unused) down to lambda_max * ratio."""
     _check_grid_shape(n_lambda, ratio)
     wv = _weight_vector(w)
     c = np.asarray(c, dtype=float)
@@ -284,18 +281,18 @@ def _solve_path(grams, cs, wv, grid, n, tol):
 
     The problems are traced in lockstep. Each round takes one piece of every
     live problem (its last kink still above its last grid point) with one
-    stacked solve: each active block, in ascending index order, is padded
-    to the round's largest by distinct inactive coordinates, finite-weight
-    ones first, with identity rows and columns and a zero right-hand side,
-    so their u and v are 0. A row reads only its own weights and grid; the
-    padding alone depends on the other rows, and may move a row's last
-    bits. A stack of one is never padded and rounds as a single problem
-    would. Each round only records its pieces, active-set wide (live rows,
-    padded indices, u and v, the lambdas where they start and end); after
-    the rounds each recorded round writes the grid points its pieces hold
-    (`_write_pieces`), and one KKT pass per problem certifies its whole
-    path. `pieces[f, i]` counts problem f's pieces started since grid point
-    i - 1.
+    stacked solve: each active block, in ascending index order, is padded to
+    the round's largest by its lowest-index inactive coordinates, with
+    identity rows and columns and a zero right-hand side, so their u and v
+    are 0; which coordinates pad is never read. A row reads only its own
+    weights and grid; the padding alone depends on the other rows, and may
+    move a row's last bits. A stack of one is never padded and rounds as a
+    single problem would. Each round only records its pieces, active-set
+    wide (live rows, padded indices, u and v, the lambdas where they start
+    and end); after the rounds each recorded round writes the grid points
+    its pieces hold (`_write_pieces`), and one KKT pass per problem
+    certifies its whole path. `pieces[f, i]` counts problem f's pieces
+    started since grid point i - 1.
     """
     if not (np.isfinite(grid).all() and (grid >= 0.0).all()
             and (np.diff(grid, axis=1) < 0.0).all()):
@@ -310,7 +307,6 @@ def _solve_path(grams, cs, wv, grid, n, tol):
     finite = np.isfinite(wv)
     if ((np.diagonal(grams, axis1=1, axis2=2) <= 0.0) & finite).any():
         raise ValueError("degenerate predictor variance")
-    off_key = 2 - finite  # argsort key off the active set: +inf weights last
     slack = 10.0 * tol * n
     c2n = 2.0 * n * cs
     coord = np.arange(p)
@@ -323,9 +319,8 @@ def _solve_path(grams, cs, wv, grid, n, tol):
         sg = sign[live]
         on = sg != 0.0
         size = on.sum(axis=1)
-        # actives in ascending order, then inactive pads, finite weights first
-        idx = np.argsort(np.where(on, 0, off_key[live]), axis=1,
-                         kind="stable")[:, :size.max()]
+        # actives in ascending order, then the lowest-index inactive pads
+        idx = np.argsort(~on, axis=1, kind="stable")[:, :size.max()]
         act = coord[:idx.shape[1]] < size[:, None]
         at = np.arange(live.size)
         s_a = sg[at[:, None], idx]
@@ -335,7 +330,7 @@ def _solve_path(grams, cs, wv, grid, n, tol):
                          np.eye(idx.shape[1]))
         rhs = np.empty(idx.shape + (2,))
         rhs[..., 0] = np.where(act, cs[live[:, None], idx], 0.0)
-        # a pad's weight may be +inf where its row has few finite ones
+        # a pad's weight may be +inf
         rhs[..., 1] = np.where(act, wv[live[:, None], idx], 0.0) * s_a / (
             2.0 * n)
         # pads solve to +-0; +0 keeps -0.0 out of the coefficients

@@ -3,10 +3,10 @@
 These are the column-level building blocks behind the Gaussian-rank
 correlation and the robust column summaries (median and Qn).
 `_robust_summaries`, `_medians` and `_qn_of_sorted` work on whole tables,
-one column per row of the sorted transpose; `median`, `qn_scale` and
-`robust_summary` are their calls on a one-column table. The public
-functions validate their input (no NaN or infinite entries); all are pure,
-so concurrent use needs no locking.
+one column per row of the sorted transpose; `median` and `qn_scale` are
+their calls on a one-column table. The public functions validate their
+input (no NaN or infinite entries); all are pure, so concurrent use needs
+no locking.
 """
 
 import math
@@ -20,7 +20,6 @@ __all__ = [
     "ranks",
     "normal_scores",
     "std_normal_quantile",
-    "robust_summary",
 ]
 
 # Scale factor making the Qn estimator consistent for the standard deviation
@@ -326,10 +325,3 @@ def std_normal_quantile(p):
         return float(x[0])
     return x.reshape(arr.shape)
 
-
-def robust_summary(x) -> tuple:
-    """(median, Qn) of a sample as two floats: the summaries of a
-    one-column table, sorted once for both."""
-    loc, scale = _robust_summaries(_as_sample(
-        x, min_n=2, min_n_message="need at least two observations")[:, None])
-    return float(loc[0]), float(scale[0])

@@ -216,12 +216,12 @@ def compute_metrics(fit_support, beta_hat, beta_true, test_X_clean,
 
 
 def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
-                   n_test=None, contaminate_test: bool = False):
+                   contaminate_test: bool = False):
     """One replicate's data from the seed `rs`: (train, mask, X_test, y_test).
 
     The training table is `design` with a Bernoulli(e) share of its predictor
     cells replaced (`mask` marks them); the test set is an independent draw of
-    `n_test` rows (default n), clean unless `contaminate_test` is set.
+    n rows, clean unless `contaminate_test` is set.
     """
     # fixed purpose -> position map; appending new streams is fine, but
     # reordering these would silently re-roll every published benchmark.
@@ -233,8 +233,7 @@ def replicate_data(design: SimDesign, e: float, gamma: float, rs: int,
     X = gen_design(replace(design, seed=seed_x))
     y = gen_response(X, design.beta_true, design.noise_sd, seed_eps)
     Xc, mask = contaminate_cells(X, spec, seed_cells)
-    n_test = design.n if n_test is None else n_test
-    X_test = gen_design(replace(design, n=n_test, seed=seed_tx))
+    X_test = gen_design(replace(design, seed=seed_tx))
     y_test = gen_response(X_test, design.beta_true, design.noise_sd, seed_teps)
     if contaminate_test:
         X_test, _ = contaminate_cells(X_test, spec, seed_tcells)
@@ -436,9 +435,14 @@ def selection_stability_study(Z: DataMatrix, n_redundant: int = 10,
     appends `n_redundant` fresh AR(1) noise predictors and fits twice: on
     the clean table and on a copy with `rate` of all predictor cells
     replaced by N(+-magnitude, 1) draws. Returns per-variable selection
-    rates for both scenarios. `fit_kwargs` (not `seed`) go to every fit and
-    are checked against the fitted tables' shape before any fit.
+    rates for both scenarios. `fit_kwargs` (not `seed`) go to every fit.
+    Before any fit, `replicates` and `n_redundant` must be at least 1 and
+    `fit_kwargs` must suit the fitted tables' shape.
     """
+    for name, value in (("replicates", replicates),
+                        ("n_redundant", n_redundant)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     fit_kwargs = _checked_fit_kwargs(fit_kwargs, Z.n, Z.p + n_redundant)
     y = Z.y
     med, scale = column_summaries(Z)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gralasso
-from gralasso import regression
+from gralasso import cli, regression
 from gralasso.cli import build_parser, main
 from gralasso.covariance import gaussian_rank_corr_matrix
 from gralasso.data import DataMatrix
@@ -475,6 +475,26 @@ class TestBenchmark:
                      "--external-csv", str(ext), "--seed", "1"]) == 0
         agg = (out / "aggregate.csv").read_text()
         assert "rlars" in agg and "gr-alasso" in agg
+
+    @pytest.mark.parametrize("header, message", [
+        (None, "No such file or directory"),
+        ("e,gamma,method\n", "unexpected records header")],
+        ids=["missing", "bad-header"])
+    def test_external_csv_is_read_before_the_grid(self, tmp_path, capsys,
+                                                  monkeypatch, header,
+                                                  message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        ext = tmp_path / "external.csv"
+        if header is not None:
+            ext.write_text(header)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--output-dir", str(out), "--replicates",
+                     "1", "--external-csv", str(ext)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_twins_and_flag_priority(self, tmp_path, monkeypatch):
         for name, value in {"N": "50", "P": "4", "E_LIST": "0.05",

@@ -1,4 +1,3 @@
-import functools
 import re
 import warnings
 from unittest import mock
@@ -30,7 +29,7 @@ from gralasso.regression import (
     marginal_gr_correlations,
     screen_top_k,
 )
-from gralasso.robust_stats import normal_scores, robust_summary
+from gralasso.robust_stats import median, normal_scores, qn_scale
 
 from oracles import (
     cd_reference,
@@ -164,10 +163,6 @@ class TestAdaptiveWeights:
         b1 = fit_path(_Parts(gram, cvec), w1, [lam], 30, tol=1e-10)
         b2 = fit_path(_Parts(gram, cvec), w2, [lam * scale], 30, tol=1e-10)
         assert np.allclose(b1.coefficients, b2.coefficients, atol=1e-8)
-
-    def test_rejects_negative_eps(self):
-        with pytest.raises(ValueError, match="exclusion_eps"):
-            adaptive_weights([1.0], exclusion_eps=-1.0)
 
 
 class TestLambdaGrid:
@@ -887,7 +882,8 @@ def _summary_tables(draw):
 
 def _per_column_summaries(values, estimator):
     """(locations, scales) column by column: the median of np.sort and the
-    Qn of all sorted differences, each equal to `robust_summary`'s, or
+    Qn of all sorted differences, each equal to `median`'s and
+    `qn_scale`'s, or
     np.mean and np.std(ddof=1)."""
     locs, scales = [], []
     for col in values.T:
@@ -897,7 +893,7 @@ def _per_column_summaries(values, estimator):
             xs, m = np.sort(col), col.size // 2
             loc = float(xs[m] if col.size % 2 else (xs[m - 1] + xs[m]) / 2)
             scale = qn_by_sorted_differences(col)
-            one_loc, one_scale = robust_summary(col)
+            one_loc, one_scale = median(col), qn_scale(col)
             # a zero Qn may be a realised -0.0; such a column raises anyway
             assert _same_bits(one_loc, loc) and one_scale == scale
         locs.append(loc)
@@ -1327,9 +1323,10 @@ class TestFitGrAlasso:
         rng = np.random.default_rng(50)
         X = rng.standard_normal((40, 3))
         Z = DataMatrix.from_arrays(X[:, 0] + rng.standard_normal(40), X)
-        # every |b0_j| is at most exclusion_eps, so every weight is +inf
-        monkeypatch.setattr(regression, "adaptive_weights", functools.partial(
-            adaptive_weights, exclusion_eps=1e6))
+        # every weight is +inf, as if every |b0_j| were at most 1e-10
+        monkeypatch.setattr(
+            regression, "adaptive_weights", lambda beta, source: (
+                AdaptiveWeights(np.full(np.shape(beta), np.inf), source)))
         fit = fit_gr_alasso(Z, fixed_lambda=1.0)
         assert not np.isfinite(fit.weights.weights).any()
         assert fit.support == () and fit.converged

@@ -202,14 +202,15 @@ class TestReplicateData:
         # moving any of them would re-roll every published benchmark
         design, rs, spec = SimDesign(n=40, p=6), 12345, ContaminationSpec(0.1, 8.0)
         train, mask, X_test, y_test = replicate_data(
-            design, 0.1, 8.0, rs, n_test=25, contaminate_test=contaminate_test)
+            design, 0.1, 8.0, rs, contaminate_test=contaminate_test)
         X = gen_design(replace(design, seed=mix_seed(rs, 1)))
         Xc, expected_mask = contaminate_cells(X, spec, mix_seed(rs, 3))
         assert np.array_equal(train.y, gen_response(X, design.beta_true, 1.0,
                                                     mix_seed(rs, 2)))
         assert np.array_equal(train.X, Xc)
         assert np.array_equal(mask, expected_mask)
-        X_t = gen_design(replace(design, n=25, seed=mix_seed(rs, 4)))
+        X_t = gen_design(replace(design, seed=mix_seed(rs, 4)))
+        assert X_test.shape == (design.n, design.p)
         assert np.array_equal(y_test, gen_response(X_t, design.beta_true, 1.0,
                                                    mix_seed(rs, 5)))
         if contaminate_test:
@@ -657,6 +658,17 @@ class TestStabilityProtocol:
         with pytest.raises(ValueError, match=re.escape(message)):
             selection_stability_study(Z, n_redundant=2, replicates=2,
                                       fit_kwargs=fit_kwargs)
+
+    @pytest.mark.parametrize("name", ["replicates", "n_redundant"])
+    def test_counts_below_one_are_rejected_before_any_fit(self, monkeypatch,
+                                                          name):
+        monkeypatch.setattr(simulation, "fit_gr_alasso",
+                            mock.Mock(side_effect=AssertionError("fitted")))
+        X = gen_design(SimDesign(n=40, p=4, seed=16))
+        Z = DataMatrix.from_arrays(X[:, 0] + X[:, 1], X)
+        counts = {"replicates": 2, "n_redundant": 2, name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            selection_stability_study(Z, **counts)
 
     def test_fit_kwargs_reach_every_fit(self, monkeypatch):
         spy = mock.Mock(wraps=simulation.fit_gr_alasso)
