@@ -125,9 +125,13 @@ def _pearson_of_values(values: np.ndarray, names=None) -> np.ndarray:
 
 
 def pearson_corr_matrix(Z) -> CorrelationMatrix:
-    """Product-moment correlation matrix; errors on a zero-variance column."""
+    """Product-moment correlation matrix; errors on a zero-variance column.
+    Each column is first scaled exactly by a power of two, so the squares
+    of a finite table neither overflow nor underflow."""
     values, names = as_table(Z)
-    return CorrelationMatrix(_pearson_of_values(values, names), "pearson", names)
+    _, exp = np.frexp(np.abs(values).max(axis=0, initial=0.0))
+    R = _pearson_of_values(np.ldexp(values, -exp), names)
+    return CorrelationMatrix(R, "pearson", names)
 
 
 def gaussian_rank_corr_matrix(Z) -> CorrelationMatrix:

@@ -99,13 +99,13 @@ class DataMatrix:
 
         Every cell must be a finite float written in ASCII; the error message
         names the first offending row (1-based, excluding the header) and
-        column. LF, CRLF and lone-CR line ends read alike. A body of plain
-        number lines is parsed in one np.loadtxt pass over the whole file
-        (_bulk_rows); any other body streams through the checked parser
-        (_checked_rows), which reads the same numbers and names the first
-        bad cell.
+        column. LF, CRLF and lone-CR line ends read alike, and a leading
+        UTF-8 byte-order mark is skipped. A body of plain number lines is
+        parsed in one np.loadtxt pass over the whole file (_bulk_rows); any
+        other body streams through the checked parser (_checked_rows), which
+        reads the same numbers and names the first bad cell.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             # strict: text after a cell's closing quote is an error, not
             # part of the cell ("1"2 is not 12)
             reader = csv.reader(map(_trim_after_quotes, fh), strict=True)

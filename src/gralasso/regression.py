@@ -151,9 +151,8 @@ def column_summaries(Z, estimator: str = "gr"):
 
     The Gaussian-rank estimator ("gr") uses median and Qn; the Pearson
     baseline uses mean and standard deviation, matching its own
-    standardisation convention. Both are taken over the whole table: up to
-    n = 200 rows the transposed table is sorted once, each median is read
-    off its middle columns and each Qn off its rows
+    standardisation convention. The robust arrays come from one loop over
+    the columns, each sorted on its own for its median and Qn
     (`robust_stats._robust_summaries`); the Pearson arrays are np.mean and
     np.std(ddof=1) of the columns.
     """

@@ -2,11 +2,10 @@
 
 These are the column-level building blocks behind the Gaussian-rank
 correlation and the robust column summaries (median and Qn).
-`_robust_summaries`, `_medians` and `_qn_of_sorted` work on whole tables,
-one column per row of the sorted transpose; `median` and `qn_scale` are
-their calls on a one-column table. The public functions validate their
-input (no NaN or infinite entries); all are pure, so concurrent use needs
-no locking.
+`_robust_summaries` takes both summaries of a table in one loop over its
+columns, each sorted on its own; `qn_scale` is its call on a one-column
+table. The public functions validate their input (no NaN or infinite
+entries); all are pure, so concurrent use needs no locking.
 """
 
 import math
@@ -47,7 +46,13 @@ def _as_sample(x, min_n: int = 1, min_n_message: str | None = None) -> np.ndarra
 def median(x) -> float:
     """Sample median: middle order statistic, or the average of the two
     middle order statistics for even n."""
-    return float(_medians(np.sort(_as_sample(x))[None])[0])
+    return float(_middle(np.sort(_as_sample(x))))
+
+
+def _middle(xs: np.ndarray):
+    """Median of sorted xs."""
+    m = xs.size // 2
+    return xs[m] if xs.size % 2 else (xs[m - 1] + xs[m]) / 2
 
 
 def qn_scale(x) -> float:
@@ -56,63 +61,44 @@ def qn_scale(x) -> float:
 
     Robust (50% breakdown) and, unlike the MAD, efficient under normality.
     The order statistic is always a realised pairwise difference, equal bit
-    for bit to sorting all n(n-1)/2 of them (`_qn_of_sorted`).
+    for bit to sorting all n(n-1)/2 of them.
     """
     arr = _as_sample(x, min_n=2, min_n_message="need at least two observations")
-    return float(_qn_of_sorted(np.sort(arr)[None])[0])
-
-
-def _medians(xs: np.ndarray) -> np.ndarray:
-    """Median of each row of a table whose rows are sorted."""
-    m = xs.shape[1] // 2
-    return xs[:, m].copy() if xs.shape[1] % 2 else (xs[:, m - 1] + xs[:, m]) / 2
-
-
-def _lists_all_pairs(n: int) -> bool:
-    """Whether Qn lists all n(n-1)/2 pairs of n values (n <= 200)."""
-    return n * (n - 1) // 2 <= max(n, _QN_BAND)
+    return float(_robust_summaries(arr[:, None])[1][0])
 
 
 def _robust_summaries(values: np.ndarray):
     """(medians, Qn scales) of the columns of a table of n >= 2 rows.
 
-    Up to the listing band the transposed table is sorted once. Longer
-    columns are sorted one at a time: a sorted copy of the whole table
-    beside Qn's selection passes would nearly double the peak memory.
+    Each column is sorted on its own: a sorted copy of the whole table
+    beside Qn's selection passes would nearly double the peak memory. While
+    every pair fits the listing band (n <= 200) all columns list their
+    n(n-1)/2 differences from one shared set of pair indices; longer
+    columns select the k-th difference by counting passes (`_qn_kth_diff`).
     """
-    if values.shape[1] == 1 or _lists_all_pairs(values.shape[0]):
-        xs = np.sort(values.T, axis=1)
-        return _medians(xs), _qn_of_sorted(xs)
-    loc, scale = zip(*(_robust_summaries(col[:, None]) for col in values.T))
-    return np.concatenate(loc), np.concatenate(scale)
-
-
-def _qn_of_sorted(xs: np.ndarray) -> np.ndarray:
-    """Qn of each row of a table whose rows are sorted (n >= 2 columns).
-
-    Up to the listing band every row lists its n(n-1)/2 pairwise
-    differences from one shared set of pair indices and takes the k-th
-    with a partition; one listing of the whole table is slower at n = 100,
-    bound by memory rather than by calls. Longer rows select the k-th
-    difference by counting passes (`_qn_kth_diff`).
-    """
-    n = xs.shape[1]
+    n = values.shape[0]
     h = n // 2 + 1
     k = h * (h - 1) // 2
-    kth = np.empty(xs.shape[0])
-    if _lists_all_pairs(n):
+    pairs = None
+    if n * (n - 1) // 2 <= max(n, _QN_BAND):
         # pairs j < i in the order `_qn_kth_diff` lists them, so that the
         # partition picks the same difference, signed zeros included
-        i, j = np.tril_indices(n, -1)
-        for r, row in enumerate(xs):
-            diff = row.take(i)
-            diff -= row.take(j)
-            diff.partition(k - 1)
-            kth[r] = diff[k - 1]
-    else:
-        for r, row in enumerate(xs):
-            kth[r] = _qn_kth_diff(row, k)
-    return QN_CONSISTENCY * kth
+        pairs = np.tril_indices(n, -1)
+    loc = np.empty(values.shape[1])
+    kth = np.empty(values.shape[1])
+    for c, col in enumerate(values.T):
+        xs = np.sort(col)
+        loc[c] = _middle(xs)
+        kth[c] = _kth_of_pairs(xs, *pairs, k) if pairs else _qn_kth_diff(xs, k)
+    return loc, QN_CONSISTENCY * kth
+
+
+def _kth_of_pairs(xs, i, j, r) -> float:
+    """r-th smallest (1-based) of the differences xs[i] - xs[j]."""
+    diff = xs.take(i)
+    diff -= xs.take(j)
+    diff.partition(r - 1)
+    return float(diff[r - 1])
 
 
 def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
@@ -129,9 +115,9 @@ def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
     costs O(n log n) and keeps about 4/sqrt(n) of the candidates: 20,000
     values take three rounds of two passes. Once at most max(n, _QN_BAND)
     candidates remain they are listed and the answer is taken with
-    np.partition (`_qn_of_sorted` lists all pairs itself at n <= 200). Rows
-    are cut on the computed differences, never on xs - t, so the answer is
-    always a realised difference.
+    np.partition (`_kth_of_pairs`). Rows are cut on the computed
+    differences, never on xs - t, so the answer is always a realised
+    difference.
     """
     n = xs.size
     lo = np.zeros(n, dtype=np.intp)
@@ -143,10 +129,8 @@ def _qn_kth_diff(xs: np.ndarray, k: int) -> float:
         m = int(ends[-1])
         r = k - below  # rank of the answer among the remaining candidates
         if m <= max(n, _QN_BAND):
-            rows = np.flatnonzero(w)
-            i = np.repeat(rows, w[rows])
-            j = np.arange(m) + np.repeat(hi[rows] - ends[rows], w[rows])
-            return float(np.partition(xs[i] - xs[j], r - 1)[r - 1])
+            i = np.repeat(np.arange(n), w)
+            return _kth_of_pairs(xs, i, np.arange(m) + (hi - ends)[i], r)
         # candidates numbered row by row; sample n of them evenly
         pos = ((np.arange(n) + 0.5) * (m / n)).astype(np.intp)
         i = np.searchsorted(ends, pos, side="right")

@@ -400,8 +400,10 @@ def write_records_csv(path, records, metadata=None):
 
 def read_records_csv(path):
     """Read a records CSV (own output or an external method's results),
-    skipping blank and '#' metadata lines."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    skipping blank and '#' metadata lines and a leading byte-order mark.
+    A cell that does not parse as its field's type raises, naming the
+    field, the cell and the record line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [[cell.strip() for cell in row] for row in csv.reader(
             line for line in fh
             if line.strip() and not line.lstrip().startswith("#"))]
@@ -414,8 +416,14 @@ def read_records_csv(path):
     for cells in rows[1:]:
         if len(cells) != len(RECORD_FIELDS):
             raise ValueError(f"malformed record line: {','.join(cells)!r}")
-        records.append(BenchmarkRecord(*(f.type(cell) for f, cell in
-                                         zip(fields(BenchmarkRecord), cells))))
+        values = []
+        for f, cell in zip(fields(BenchmarkRecord), cells):
+            try:
+                values.append(f.type(cell))
+            except ValueError:
+                raise ValueError(f"bad {f.name} {cell!r} in record line: "
+                                 f"{','.join(cells)!r}") from None
+        records.append(BenchmarkRecord(*values))
     return records
 
 

@@ -129,6 +129,18 @@ class TestFit:
                      "fit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path, _, _ = _fixture_csv(tmp_path, seed=5)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        outs = tmp_path / "a", tmp_path / "b"
+        for src, out in zip((path, bom), outs):
+            assert main(["fit", "--input", str(src), "--response", "y",
+                         "--seed", "7", "--output-dir", str(out)]) == 0
+        for name in ("coefficients.csv", "cv_curve.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_matrix_exports(self, tmp_path):
         path, _, _ = _fixture_csv(tmp_path, seed=6)
         out = tmp_path / "out"
@@ -478,8 +490,10 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("header, message", [
         (None, "No such file or directory"),
-        ("e,gamma,method\n", "unexpected records header")],
-        ids=["missing", "bad-header"])
+        ("e,gamma,method\n", "unexpected records header"),
+        ("e,gamma,replicate,method,tpr,fpr,mse_beta,mspe,runtime_ms,status\n"
+         "0.02,4,0.0,rlars,0.9,0.1,0.2,2,50,ok\n", "bad replicate '0.0'")],
+        ids=["missing", "bad-header", "bad-cell"])
     def test_external_csv_is_read_before_the_grid(self, tmp_path, capsys,
                                                   monkeypatch, header,
                                                   message):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gralasso.covariance import (
     CorrelationMatrix,
+    _pearson_of_values,
     assemble_covariance,
     gaussian_rank_corr_matrix,
     pearson_corr_matrix,
@@ -49,6 +50,23 @@ class TestPearson:
         R = pearson_corr_matrix(rng.standard_normal((40, 6))).matrix
         assert np.array_equal(np.diag(R), np.ones(6))
         assert np.array_equal(R, R.T)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-170])
+    def test_extreme_finite_column_scales(self, scale):
+        # unscaled, the squares of such a column overflow (every correlation
+        # reads 0) or underflow (a "zero-variance column" error)
+        rng = np.random.default_rng(3)
+        x1, noise = rng.standard_normal((2, 50))
+        ref = pearson_corr_matrix(np.column_stack([x1, x1 + noise])).matrix
+        R = pearson_corr_matrix(np.column_stack([x1, scale * (x1 + noise)]))
+        assert np.allclose(R.matrix, ref, rtol=0.0, atol=1e-15)
+
+    def test_scaling_keeps_the_bits_of_ordinary_tables(self):
+        rng = np.random.default_rng(4)
+        X = np.asfortranarray(rng.standard_normal((30, 4))
+                              * [1e-3, 1.0, 7.0, 1e5])
+        assert np.array_equal(pearson_corr_matrix(X).matrix,
+                              _pearson_of_values(X))
 
 
 class TestGaussianRank:

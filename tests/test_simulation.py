@@ -606,6 +606,23 @@ class TestRecordCsv:
         with pytest.raises(ValueError, match="malformed record line"):
             read_records_csv(path)
 
+    def test_unparsable_cell_is_named(self, tmp_path):
+        path = tmp_path / "bad_cell.csv"
+        path.write_text(",".join(RECORD_FIELDS)
+                        + "\n0.05,10,0.0,x,1,0,0,1,5,ok\n")
+        with pytest.raises(ValueError, match=r"bad replicate '0\.0' in record "
+                           r"line: '0\.05,10,0\.0,x,1,0,0,1,5,ok'"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("metadata", [None, {"seed": 1}])
+    def test_byte_order_mark_is_skipped(self, tmp_path, metadata):
+        path = tmp_path / "records.csv"
+        ext = [BenchmarkRecord(0.05, 10.0, 0, "mm-alasso", 0.9, 0.05, 0.1,
+                               2.0, 100.0, "ok")]
+        write_records_csv(path, ext, metadata)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_records_csv(path) == ext
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
